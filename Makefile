@@ -44,11 +44,19 @@ suppress-gate:
 		exit 1; \
 	fi
 
+# The end-to-end benchmark harness is its own module (perfbench/go.mod),
+# so the root `go test ./...` never compiles it: vet and test it here so an
+# internal API change cannot break the benchmark unnoticed.
+.PHONY: perfbench
+perfbench:
+	cd perfbench && go vet ./... && go test ./...
+
 # Tier-2 umbrella: static analysis + repo analyzers + race detector +
-# portable-fallback pass + one-iteration benchmark smoke (benchmarks must
-# at least run) + snapshot-integrity gate.
+# portable-fallback pass + benchmark-harness build and tests +
+# one-iteration benchmark smoke (benchmarks must at least run) +
+# snapshot-integrity gate.
 .PHONY: check
-check: vet lint suppress-gate race test-nosimd bench-smoke bench-gate
+check: vet lint suppress-gate race test-nosimd perfbench bench-smoke bench-gate
 
 # Snapshot-integrity gate: every committed BENCH_*.json must parse and
 # self-diff clean at zero tolerance, so the diff tool and the snapshot

@@ -237,10 +237,10 @@ func BenchmarkNVMeArray(b *testing.B) {
 			b.SetBytes(int64(len(payload)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := a.Put("k", payload); err != nil {
+				if err := a.PutClass("k", payload, nvme.ClassWriteback); err != nil {
 					b.Fatal(err)
 				}
-				if err := a.ReadInto("k", payload); err != nil {
+				if err := a.ReadIntoClass("k", payload, nvme.ClassCriticalFetch); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -398,7 +398,7 @@ func BenchmarkNVMeMirror(b *testing.B) {
 			b.SetBytes(int64(len(payload)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := a.Put("k", payload); err != nil {
+				if err := a.PutClass("k", payload, nvme.ClassWriteback); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,9 +1,9 @@
 // Package errdrop flags dropped errors from the NVMe and trace write
-// paths. An nvme.Put that fails silently corrupts the offload state the
-// engine later Gets back, and a trace.WriteChrome whose error is ignored
-// produces a truncated file that Perfetto rejects — both have bitten
-// before, so calls into those packages must consume the returned error in
-// non-test code.
+// paths. An nvme.Array PutClass that fails silently corrupts the offload
+// state the engine later reads back with ReadIntoClass, and a
+// trace.WriteChrome whose error is ignored produces a truncated file that
+// Perfetto rejects — both have bitten before, so calls into those packages
+// must consume the returned error in non-test code.
 package errdrop
 
 import (

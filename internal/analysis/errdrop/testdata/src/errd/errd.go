@@ -9,10 +9,15 @@ import (
 	"ratel/internal/nvme"
 	"ratel/internal/sim"
 	"ratel/internal/trace"
+	"ratel/internal/units"
 )
 
 func statementDrop(a *nvme.Array, data []byte) {
-	a.Put("weights", data) // want `call drops the error returned by nvme.Put`
+	a.PutClass("weights", data, nvme.ClassWriteback) // want `call drops the error returned by nvme.PutClass`
+}
+
+func blankRead(a *nvme.Array, dst []byte) {
+	_ = a.ReadIntoClass("weights", dst, nvme.ClassOptRead) // want `error returned by nvme.ReadIntoClass assigned to blank identifier`
 }
 
 func deferDrop(a *nvme.Array) {
@@ -23,13 +28,13 @@ func blankSingle(res sim.Result, w io.Writer) {
 	_ = trace.WriteJSON(res, w) // want `error returned by trace.WriteJSON assigned to blank identifier`
 }
 
-func blankMulti(a *nvme.Array) []byte {
-	data, _ := a.Get("weights") // want `error returned by nvme.Get assigned to blank identifier`
-	return data
+func blankMulti(a *nvme.Array) units.Bytes {
+	n, _ := a.Size("weights") // want `error returned by nvme.Size assigned to blank identifier`
+	return n
 }
 
 func checkedIsFine(a *nvme.Array, data []byte) error {
-	if err := a.Put("weights", data); err != nil {
+	if err := a.PutClass("weights", data, nvme.ClassWriteback); err != nil {
 		return err
 	}
 	return a.Close()
@@ -44,8 +49,12 @@ func deferClosureIsFine(a *nvme.Array) (err error) {
 	return nil
 }
 
-func capturedMultiIsFine(a *nvme.Array) ([]byte, error) {
-	return a.Get("weights")
+func capturedReadIsFine(a *nvme.Array, dst []byte) error {
+	return a.ReadIntoClass("weights", dst, nvme.ClassCriticalFetch)
+}
+
+func capturedMultiIsFine(a *nvme.Array) (units.Bytes, error) {
+	return a.Size("weights")
 }
 
 func noErrorResultIsFine(res sim.Result) string {

@@ -1,8 +1,7 @@
-// Package bufd is the migration suite inherited verbatim from the retired
-// bufreuse analyzer: every finding its straight-line scan reported must
-// still be reported by xferown's dataflow. It imports the real nvme
-// package so receiver-type resolution works exactly as it does in the
-// engine.
+// Package bufd is xferown's straight-line golden suite: uses after a pool
+// release or a writer hand-off with no branches or loops in between. It
+// imports the real nvme package so receiver-type resolution works exactly
+// as it does in the engine.
 package bufd
 
 import "ratel/internal/nvme"
@@ -25,24 +24,32 @@ func doublePut() {
 	nvme.Buffers.Put(buf) // want `pooled buffer "buf" used after BufPool.Put released it`
 }
 
-func useAfterPutFrom(a *nvme.Array) error {
+func useAfterWriteThenRelease(a *nvme.Array) error {
+	// PutClass only borrows; the pool release right after it is the
+	// transfer, so the error check must not touch the buffer again.
 	buf := nvme.Buffers.Get(4096)
-	if err := a.PutFrom("k", buf); err != nil {
+	err := a.PutClass("k", buf, nvme.ClassWriteback)
+	nvme.Buffers.Put(buf)
+	if err != nil {
 		return err
 	}
-	buf[0] = 1 // want `pooled buffer "buf" used after Array.PutFrom released it`
+	buf[0] = 1 // want `pooled buffer "buf" used after BufPool.Put released it`
 	return nil
 }
 
-func useAfterPutFromClass(a *nvme.Array) error {
-	// The scheduler's class-tagged hand-off releases exactly like PutFrom:
-	// the class routes the queue, the buffer still changes owner.
+// writeJob is the write-behind queue's job shape: the blob travels to the
+// writer goroutine inside a struct.
+type writeJob struct {
+	key  string
+	blob []byte
+}
+
+func useAfterQueueToWriter(jobs chan writeJob) {
+	// Queueing the blob hands it to the writer goroutine, whatever class
+	// the writer later tags the NVMe transfer with.
 	buf := nvme.Buffers.Get(4096)
-	if err := a.PutFromClass("k", buf, nvme.ClassWriteBehind); err != nil {
-		return err
-	}
-	buf[0] = 1 // want `pooled buffer "buf" used after Array.PutFromClass released it`
-	return nil
+	jobs <- writeJob{key: "k", blob: buf}
+	buf[0] = 1 // want `pooled buffer "buf" used after it was queued to a writer goroutine`
 }
 
 func capturedInClosureAfterPut() func() byte {
@@ -67,10 +74,10 @@ func putThenReturnIsFine() {
 }
 
 func arrayPutBorrowsOnly(a *nvme.Array) (byte, error) {
-	// (*Array).Put borrows for the duration of the call — the caller keeps
-	// ownership, so reading afterwards is the sanctioned idiom.
+	// (*Array).PutClass borrows for the duration of the call — the caller
+	// keeps ownership, so reading afterwards is the sanctioned idiom.
 	buf := nvme.Buffers.Get(4096)
-	if err := a.Put("k", buf); err != nil {
+	if err := a.PutClass("k", buf, nvme.ClassWriteback); err != nil {
 		return 0, err
 	}
 	b := buf[0]
@@ -86,7 +93,7 @@ func errorPathCleanupIsFine(a *nvme.Array, fill func([]byte) error) error {
 		nvme.Buffers.Put(buf)
 		return err
 	}
-	if err := a.Put("k", buf); err != nil {
+	if err := a.PutClass("k", buf, nvme.ClassWriteback); err != nil {
 		nvme.Buffers.Put(buf)
 		return err
 	}

@@ -1,6 +1,6 @@
-// Package xferd is xferown's golden testdata for the cases the retired
-// straight-line bufreuse scan could not see: branch merges, loop back
-// edges, deferred releases, and writer-goroutine channel transfers.
+// Package xferd is xferown's golden testdata for the cases a straight-line
+// scan cannot see: branch merges, loop back edges, deferred releases, and
+// writer-goroutine channel transfers.
 package xferd
 
 import "ratel/internal/nvme"

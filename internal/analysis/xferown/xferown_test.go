@@ -7,10 +7,10 @@ import (
 	"ratel/internal/analysis/xferown"
 )
 
-// TestMigrationFromBufreuse runs the retired bufreuse analyzer's golden
-// suite unchanged: every straight-line finding it reported must survive
-// the move to the dataflow engine.
-func TestMigrationFromBufreuse(t *testing.T) {
+// TestStraightLineTransfers covers the straight-line cases: reads, writes,
+// double releases and closure captures after a pool release or a writer
+// hand-off, plus the borrow-only and reacquire idioms that must stay clean.
+func TestStraightLineTransfers(t *testing.T) {
 	analysistest.Run(t, xferown.Analyzer, "bufd")
 }
 
@@ -18,18 +18,6 @@ func TestMigrationFromBufreuse(t *testing.T) {
 // branch merges, loop back edges, defers, and channel transfers.
 func TestXferown(t *testing.T) {
 	analysistest.Run(t, xferown.Analyzer, "xferd")
-}
-
-func TestAliasKeepsSuppressionsValid(t *testing.T) {
-	found := false
-	for _, a := range xferown.Analyzer.Aliases {
-		if a == "bufreuse" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("xferown must alias the retired bufreuse analyzer so existing suppressions stay valid")
-	}
 }
 
 func TestScope(t *testing.T) {

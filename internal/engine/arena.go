@@ -17,7 +17,7 @@ import (
 //
 //   - Forward (write-behind): block i encodes into slot(i) and hands the
 //     blob to the offload queue. The slot's buffer stays in flight until the
-//     writer goroutine finishes the NVMe Put and returns the slot token, and
+//     writer goroutine finishes the NVMe write and returns the slot token, and
 //     the window bounds in-flight writes to depth — so by the time block
 //     i+len(slots) wants the same slot, the engine has waited on that exact
 //     token (a recorded stall when the window is full). All writes drain at

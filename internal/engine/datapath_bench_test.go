@@ -42,11 +42,11 @@ func BenchmarkCacheRoundTrip(b *testing.B) {
 		if err := ar.encode(blob, src); err != nil {
 			b.Fatal(err)
 		}
-		if err := a.Put("act/bench", blob); err != nil {
+		if err := a.PutClass("act/bench", blob, nvme.ClassWriteback); err != nil {
 			b.Fatal(err)
 		}
 		fetch := ar.slotBuf(i+1, n)
-		if err := a.ReadInto("act/bench", fetch); err != nil {
+		if err := a.ReadIntoClass("act/bench", fetch, nvme.ClassCriticalFetch); err != nil {
 			b.Fatal(err)
 		}
 		c := ar.cacheFor(i, g)

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -146,9 +145,11 @@ type Config struct {
 	// negative is rejected. Depth changes only timing, never values — the
 	// step barrier makes every depth bit-identical to the synchronous path.
 	PipelineDepth int
-	// DisablePipeline runs all activation I/O synchronously inline with
-	// compute (for ablation benchmarks; values are unaffected either way).
-	// It subsumes the old DisablePrefetch knob: both directions degrade.
+	// DisablePipeline runs the activation pipeline at window 0, the serial
+	// baseline for ablation benchmarks: forward joins each write before the
+	// next block, and backward fetches each block only when it needs it.
+	// Values are unaffected either way. It subsumes the old DisablePrefetch
+	// knob: both directions degrade.
 	DisablePipeline bool
 	// Sched enables the NVMe transfer scheduler: duplex per-device queues
 	// with priority-class dequeue, so critical-path fetches stop queuing
@@ -216,7 +217,7 @@ type Engine struct {
 	arena   blobArena
 	blobLen int
 	// depth is the resolved activation I/O window (0 = synchronous); pipe is
-	// the write-behind offload pipeline, nil when depth is 0 (see
+	// the write-behind offload pipeline, present at every depth (see
 	// pipeline.go). depthCtl, when non-nil, adapts the *effective* window
 	// between 1 and depth (see depthctl.go). fetchCh/fetchLive are the
 	// per-block read-ahead result channels and their in-flight marks,
@@ -489,18 +490,14 @@ func New(cfg Config) (*Engine, error) {
 			e.asyncNorms[g.Name] = 0
 		}
 	}
-	if e.depth > 0 {
-		// One writer serializes a depth-1 window exactly like the old inline
-		// path. Deeper windows get one writer per in-flight blob up to the
-		// array width: each blob stripes across every device, so fewer
-		// writers than devices leaves aggregate write bandwidth idle between
-		// blob boundaries.
-		writers := e.depth
-		if writers > cfg.Devices {
-			writers = cfg.Devices
-		}
-		e.pipe = newOffloadPipeline(a, cfg.Tracer, len(e.arena.slots), writers, len(m.Blocks))
-	}
+	// One writer serializes a depth-1 window exactly like the old inline
+	// path, and window 0 (DisablePipeline) joins each write before the next
+	// block anyway. Deeper windows get one writer per in-flight blob up to
+	// the array width: each blob stripes across every device, so fewer
+	// writers than devices leaves aggregate write bandwidth idle between
+	// blob boundaries.
+	writers := min(max(e.depth, 1), cfg.Devices)
+	e.pipe = newOffloadPipeline(a, cfg.Tracer, len(e.arena.slots), writers, len(m.Blocks))
 	return e, nil
 }
 
@@ -1049,6 +1046,11 @@ func (e *Engine) runBatch(tokens, targets [][]int, groups []nn.ParamGroup, submi
 	if e.depthCtl != nil {
 		effDepth = e.depthCtl.depth()
 	}
+	// Forward write-behind is held to the effective window when the
+	// controller sets it, and to window 0 — every write joined before the
+	// next block — when the pipeline is disabled. A static window is
+	// bounded by the ring's slot tokens alone.
+	capWrites := e.depthCtl != nil || effDepth == 0
 
 	// ---------- Forward ----------
 	fwdStart := time.Now()
@@ -1070,63 +1072,37 @@ func (e *Engine) runBatch(tokens, targets [][]int, groups []nn.ParamGroup, submi
 		}
 		switch e.cfg.Swap[i] {
 		case SwapSSD:
-			if e.pipe != nil {
-				// Write-behind offload: encode into block i's ring slot and
-				// queue the blob for the writer goroutines — block i+1's
-				// compute proceeds while the NVMe Put is in flight. The slot
-				// token bounds reuse (a full window stalls here, recorded on
-				// the stall lane) and the reservation pins the host staging
-				// footprint until the write retires.
-				if e.pipe.errored() {
-					// Fail fast: stop feeding the window; fail's barrier
-					// carries the write error out.
-					return fail(fmt.Errorf("engine: offload block %d activations: earlier write-behind failed", i))
-				}
-				slot := e.arena.slotIndex(i)
-				e.pipe.acquireSlot(slot, e.labels[i].stall)
-				sp = tr.StartSpan(obs.LaneOffload, e.labels[i].offload)
-				blob := e.arena.slotBuf(i, e.blobLen)
-				if err := e.arena.encode(blob, c); err != nil {
-					sp.End()
-					e.pipe.releaseSlot(slot)
-					return fail(err)
-				}
+			// Write-behind offload: encode into block i's ring slot and
+			// queue the blob for the writer goroutines — block i+1's compute
+			// proceeds while the NVMe write is in flight. The slot token
+			// bounds reuse (a full window stalls here, recorded on the stall
+			// lane) and the reservation pins the host staging footprint
+			// until the write retires.
+			if e.pipe.errored() {
+				// Fail fast: stop feeding the window; fail's barrier carries
+				// the write error out.
+				return fail(fmt.Errorf("engine: offload block %d activations: earlier write-behind failed", i))
+			}
+			slot := e.arena.slotIndex(i)
+			e.pipe.acquireSlot(slot, e.labels[i].stall)
+			sp = tr.StartSpan(obs.LaneOffload, e.labels[i].offload)
+			blob := e.arena.slotBuf(i, e.blobLen)
+			if err := e.arena.encode(blob, c); err != nil {
 				sp.End()
-				res, err := e.reserveStaged(len(blob), e.labels[i].stall)
-				if err != nil {
-					e.pipe.releaseSlot(slot)
-					return fail(fmt.Errorf("engine: host staging for block %d: %w", i, err))
-				}
-				e.pipe.submit(offloadJob{slot: slot, key: e.labels[i].actKey, label: e.labels[i].write, blob: blob, res: res})
-				if e.depthCtl != nil {
-					// Adaptive window: hold write-behind to the effective
-					// depth even though the ring could buffer more.
-					if err := e.pipe.limit(effDepth); err != nil {
-						return fail(fmt.Errorf("engine: offload block %d activations: %w", i, err))
-					}
-				}
-			} else {
-				// Synchronous fallback (DisablePipeline): host staging, then
-				// the NVMe store inline. Put borrows the blob only for the
-				// call, so the slot serves every step.
-				sp = tr.StartSpan(obs.LaneOffload, e.labels[i].offload)
-				blob := e.arena.slotBuf(i, e.blobLen)
-				if err := e.arena.encode(blob, c); err != nil {
-					sp.End()
-					return fail(err)
-				}
-				res, err := e.hostPool.Reserve(units.Bytes(len(blob)))
-				if err != nil {
-					sp.End()
-					return fail(fmt.Errorf("engine: host staging for block %d: %w", i, err))
-				}
-				if err := e.array.PutClass(e.labels[i].actKey, blob, nvme.ClassWriteBehind); err != nil {
-					sp.End()
-					res.Release()
+				e.pipe.releaseSlot(slot)
+				return fail(err)
+			}
+			sp.End()
+			res, err := e.reserveStaged(len(blob), e.labels[i].stall)
+			if err != nil {
+				e.pipe.releaseSlot(slot)
+				return fail(fmt.Errorf("engine: host staging for block %d: %w", i, err))
+			}
+			e.pipe.submit(offloadJob{slot: slot, key: e.labels[i].actKey, label: e.labels[i].write, blob: blob, res: res})
+			if capWrites {
+				if err := e.pipe.limit(effDepth); err != nil {
 					return fail(fmt.Errorf("engine: offload block %d activations: %w", i, err))
 				}
-				res.Release() // staged through, now resident on SSD
-				sp.End()
 			}
 			e.actOffload.Add(int64(e.blobLen))
 			// Ledger: the cache was fp16-encoded and staged through host
@@ -1204,35 +1180,6 @@ func (e *Engine) runBatch(tokens, targets [][]int, groups []nn.ParamGroup, submi
 		return fail(err)
 	}
 
-	// Pipelined data transfer (the Ratel_hook prefetching of Fig. 4),
-	// generalized to depth-k read-ahead: the SSD fetch for block i-depth
-	// launches when block i is consumed, so up to depth reads overlap
-	// backward computation. Read-ahead changes only timing, never values.
-	// Each fetch reads into its block's ring slot: launched-but-unconsumed
-	// fetches span at most depth+1 consecutive block indices, which map to
-	// distinct slots (see blobArena). Result channels are preallocated per
-	// block, so a launch allocates only its fetch goroutine.
-	launch := func(i int) {
-		if i < 0 || e.cfg.Swap[i] != SwapSSD || e.depth == 0 {
-			return
-		}
-		ch := e.fetchCh[i]
-		e.fetchLive[i] = true
-		label := e.labels[i].prefetch
-		key := e.labels[i].actKey
-		buf := e.arena.slotBuf(i, e.blobLen)
-		go func() {
-			start := tr.Now()
-			err := e.array.ReadInto(key, buf)
-			tr.RecordSpan(obs.LanePrefetch, label, start, tr.Now())
-			ch <- err
-		}()
-		// Hand the CPU to the fetch goroutine now — same single-core hand-off
-		// as offloadPipeline.submit: backward compute never blocks between
-		// launches, so without a yield the read would not reach the device
-		// until the next preemption tick.
-		runtime.Gosched()
-	}
 	// On any exit, wait out in-flight fetches (consumed fetches clear their
 	// mark, so this only drains leftovers after an error).
 	defer func() {
@@ -1249,16 +1196,24 @@ func (e *Engine) runBatch(tokens, targets [][]int, groups []nn.ParamGroup, submi
 	// the whole batch. Launch only the first-needed fetch up front and refill
 	// the window after each consume — in-flight reads still reach depth
 	// during block compute, but the head of the queue is never contended.
+	// Window 0 issues no read-ahead at all: each block fetches on demand.
 	nextFetch := len(m.Blocks) - 1
-	launch(nextFetch)
-	nextFetch--
+	if effDepth > 0 {
+		e.launchFetch(nextFetch)
+		nextFetch--
+	}
 
 	for i := len(m.Blocks) - 1; i >= 0; i-- {
 		var c *nn.BlockCache
 		switch e.cfg.Swap[i] {
 		case SwapSSD:
 			blob := e.arena.slotBuf(i, e.blobLen)
-			if e.fetchLive[i] {
+			if !e.fetchLive[i] {
+				// No read-ahead at window 0: the fetch is synchronous and
+				// is not a stall.
+				e.launchFetch(i)
+				err = <-e.fetchCh[i]
+			} else {
 				select {
 				case err = <-e.fetchCh[i]:
 					// Read-ahead won: the blob was resident before backward
@@ -1276,12 +1231,8 @@ func (e *Engine) runBatch(tokens, targets [][]int, groups []nn.ParamGroup, submi
 					e.fetchStallsN++
 					e.fetchStallWaitN += time.Since(stallStart)
 				}
-				e.fetchLive[i] = false
-			} else {
-				sp = tr.StartSpan(obs.LanePrefetch, e.labels[i].fetch)
-				err = e.array.ReadInto(e.labels[i].actKey, blob)
-				sp.End()
 			}
+			e.fetchLive[i] = false
 			if err != nil {
 				return fail(fmt.Errorf("engine: fetch block %d activations: %w", i, err))
 			}
@@ -1320,8 +1271,9 @@ func (e *Engine) runBatch(tokens, targets [][]int, groups []nn.ParamGroup, submi
 		// Refill the read-ahead window now that block i's slot is consumed;
 		// these fetches overlap block i's backward compute. The window is the
 		// effective depth — the adaptive controller's choice when enabled.
-		for nextFetch >= i-effDepth && nextFetch >= 0 {
-			launch(nextFetch)
+		// Window 0 has nothing to refill: block i was fetched on demand.
+		for effDepth > 0 && nextFetch >= i-effDepth && nextFetch >= 0 {
+			e.launchFetch(nextFetch)
 			nextFetch--
 		}
 		sp = tr.StartSpan(obs.LaneCompute, e.labels[i].bwd)

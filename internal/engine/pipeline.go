@@ -32,7 +32,7 @@ const DefaultPipelineDepth = 2
 
 // offloadJob is one block's activation blob on its way to the NVMe array.
 // The blob is an arena slot buffer: the writer owns it (and the slot token)
-// until the Put returns, then releases the reservation and returns the
+// until the PutClass returns, then releases the reservation and returns the
 // token so the slot can be re-encoded.
 type offloadJob struct {
 	slot  int
@@ -45,8 +45,9 @@ type offloadJob struct {
 // offloadPipeline drains offloadJobs onto the NVMe array. Writer goroutines
 // are spawned once at engine construction and live until Close; per-step
 // state (outstanding jobs, stall accounting) belongs to the engine's step
-// goroutine. A nil *offloadPipeline is the synchronous configuration: every
-// method is nil-safe and a no-op.
+// goroutine. Every engine has one: the synchronous configuration
+// (DisablePipeline) is window 0 of the same ring, joining each write before
+// the next block.
 type offloadPipeline struct {
 	array  *nvme.Array
 	tracer *obs.Tracer
@@ -117,7 +118,7 @@ func (p *offloadPipeline) writer() {
 	for j := range p.jobs {
 		start := p.tracer.Now()
 		// Write-behind is the least urgent traffic class: a whole
-		// forward+backward separates the Put from the blob's next read.
+		// forward+backward separates the write from the blob's next read.
 		err := p.array.PutClass(j.key, j.blob, nvme.ClassWriteBehind)
 		p.tracer.RecordSpan(obs.LaneOffload, j.label, start, p.tracer.Now())
 		j.res.Release()
@@ -132,16 +133,13 @@ func (p *offloadPipeline) writer() {
 // close stops the writer goroutines. Idempotent; in-flight jobs finish
 // first (the channel drains before the workers exit their range loop).
 func (p *offloadPipeline) close() {
-	if p == nil {
-		return
-	}
 	p.stopOnce.Do(func() { close(p.jobs) })
 }
 
 // errored reports the fail-fast flag: some in-flight write has already
 // failed, so the forward loop should stop feeding the window and let the
 // barrier surface the error.
-func (p *offloadPipeline) errored() bool { return p != nil && p.hasErr.Load() }
+func (p *offloadPipeline) errored() bool { return p.hasErr.Load() }
 
 // acquireSlot takes slot's token, blocking while a previous write from the
 // same ring slot is still in flight. A blocked acquisition is the window's
@@ -186,14 +184,12 @@ func (p *offloadPipeline) submit(j offloadJob) {
 }
 
 // limit drains in-flight write-behind until at most max jobs remain — the
-// adaptive depth controller's forward-side window. The waits are not
+// adaptive depth controller's forward-side window, and with max 0 the
+// per-block join of the synchronous configuration. The waits are not
 // counted as stalls: they are imposed by the controller, not by flow
 // control, and counting them would teach the controller to read its own
 // throttling as congestion.
 func (p *offloadPipeline) limit(max int) error {
-	if p == nil {
-		return nil
-	}
 	var joined error
 	for p.outstanding > max {
 		if err := p.waitOne(); err != nil {
@@ -219,9 +215,6 @@ func (p *offloadPipeline) waitOne() error {
 // path, so no write (and no error) outlives its step. Idempotent: with
 // nothing outstanding it returns nil immediately.
 func (p *offloadPipeline) barrier() error {
-	if p == nil {
-		return nil
-	}
 	var joined error
 	for p.outstanding > 0 {
 		if err := p.waitOne(); err != nil {
@@ -235,9 +228,6 @@ func (p *offloadPipeline) barrier() error {
 // resetStepCounters zeroes the per-step stall accounting; TrainStep and
 // TrainStepAccum call it once per optimizer step.
 func (p *offloadPipeline) resetStepCounters() {
-	if p == nil {
-		return
-	}
 	p.stalls = 0
 	p.poolStalls = 0
 	p.stallWait = 0
@@ -247,14 +237,45 @@ func (p *offloadPipeline) resetStepCounters() {
 // freeSlots counts available slot tokens (all of them, between steps — the
 // invariant the fault-injection tests pin).
 func (p *offloadPipeline) freeSlots() int {
-	if p == nil {
-		return 0
-	}
 	n := 0
 	for _, tok := range p.slotTok {
 		n += len(tok)
 	}
 	return n
+}
+
+// launchFetch starts block i's read-ahead: the read half of the pipeline
+// (the Ratel_hook prefetching of Fig. 4), generalized to depth-k: backward
+// launches the SSD fetch for block i-depth when block i is consumed, so up
+// to depth reads overlap backward computation, and window 0 launches each
+// fetch only when its block is needed. Read-ahead changes only timing,
+// never values. Each fetch reads into its block's ring slot:
+// launched-but-unconsumed fetches span at most depth+1 consecutive block
+// indices, which map to distinct slots (see blobArena). Result channels are
+// preallocated per block, so a launch allocates only its fetch goroutine.
+// Blocks outside the SSD tier (and i < 0) are a no-op.
+func (e *Engine) launchFetch(i int) {
+	if i < 0 || e.cfg.Swap[i] != SwapSSD {
+		return
+	}
+	ch := e.fetchCh[i]
+	e.fetchLive[i] = true
+	tr := e.tracer
+	label := e.labels[i].prefetch
+	key := e.labels[i].actKey
+	buf := e.arena.slotBuf(i, e.blobLen)
+	go func() {
+		start := tr.Now()
+		// Backward blocks on this read: the most urgent traffic class.
+		err := e.array.ReadIntoClass(key, buf, nvme.ClassCriticalFetch)
+		tr.RecordSpan(obs.LanePrefetch, label, start, tr.Now())
+		ch <- err
+	}()
+	// Hand the CPU to the fetch goroutine now — same single-core hand-off
+	// as offloadPipeline.submit: backward compute never blocks between
+	// launches, so without a yield the read would not reach the device
+	// until the next preemption tick.
+	runtime.Gosched()
 }
 
 // reserveStaged reserves a queued blob's host staging footprint, treating a
@@ -269,7 +290,7 @@ func (e *Engine) reserveStaged(n int, stallLabel string) (*memctl.Reservation, e
 		if err == nil {
 			return res, nil
 		}
-		if !errors.Is(err, memctl.ErrOOM) || e.pipe == nil || e.pipe.outstanding == 0 {
+		if !errors.Is(err, memctl.ErrOOM) || e.pipe.outstanding == 0 {
 			return nil, err
 		}
 		start := time.Now()

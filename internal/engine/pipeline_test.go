@@ -17,9 +17,6 @@ import (
 // home, no leaked host-pool reservation, no live read-ahead.
 func pipelineIdle(t *testing.T, e *Engine) {
 	t.Helper()
-	if e.pipe == nil {
-		t.Fatal("engine has no pipeline (DisablePipeline set?)")
-	}
 	if e.pipe.outstanding != 0 {
 		t.Fatalf("%d offload writes still outstanding after the step barrier", e.pipe.outstanding)
 	}
@@ -209,7 +206,8 @@ func TestPipelineDepthValidation(t *testing.T) {
 }
 
 // TestPipelineDefaultDepth: the zero Config gets DefaultPipelineDepth and a
-// matching ring; DisablePipeline gets no pipeline at all.
+// matching ring; DisablePipeline is window 0 of the same ring — depth 0 on
+// the minimum 2-slot ring, still drained by the offload pipeline.
 func TestPipelineDefaultDepth(t *testing.T) {
 	on := newEngine(t, Config{GradMode: agoffload.Optimized})
 	if on.depth != DefaultPipelineDepth || on.pipe == nil {
@@ -219,7 +217,7 @@ func TestPipelineDefaultDepth(t *testing.T) {
 		t.Fatalf("ring has %d slots, want depth+1 = %d", len(on.arena.slots), DefaultPipelineDepth+1)
 	}
 	off := newEngine(t, Config{GradMode: agoffload.Optimized, DisablePipeline: true})
-	if off.depth != 0 || off.pipe != nil {
-		t.Fatalf("DisablePipeline engine: depth %d, pipe %v", off.depth, off.pipe != nil)
+	if off.depth != 0 || off.pipe == nil || len(off.arena.slots) != 2 {
+		t.Fatalf("DisablePipeline engine: depth %d, pipe %v, %d ring slots", off.depth, off.pipe != nil, len(off.arena.slots))
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"testing"
+	"time"
 
 	"ratel/internal/agoffload"
 	"ratel/internal/nn"
@@ -14,8 +15,8 @@ import (
 // cacheRoundTripAllocBudget pins the steady-state swap cycle: the
 // persistent per-device dispatchers replaced the old per-transfer goroutine
 // spawn (which cost ~24 allocs/op for goroutines + closures), so a full
-// encode → striped Put → ReadInto → decode cycle must stay in single-digit
-// allocations.
+// encode → striped PutClass → ReadIntoClass → decode cycle must stay in
+// single-digit allocations.
 const cacheRoundTripAllocBudget = 8
 
 func TestCacheRoundTripAllocs(t *testing.T) {
@@ -41,11 +42,11 @@ func TestCacheRoundTripAllocs(t *testing.T) {
 		if err := ar.encode(blob, src); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Put("act/bench", blob); err != nil {
+		if err := a.PutClass("act/bench", blob, nvme.ClassWriteback); err != nil {
 			t.Fatal(err)
 		}
 		fetch := ar.slotBuf(iter+1, n)
-		if err := a.ReadInto("act/bench", fetch); err != nil {
+		if err := a.ReadIntoClass("act/bench", fetch, nvme.ClassCriticalFetch); err != nil {
 			t.Fatal(err)
 		}
 		c := ar.cacheFor(iter, g)
@@ -233,5 +234,79 @@ func TestAdaptiveDepthConverges(t *testing.T) {
 	}
 	if att := obs.Attribute(tr.Spans(), tailStart, tr.Now()); att.Bound == obs.VerdictStalledReadhead {
 		t.Fatalf("converged tail still attributed to stalled readahead: %+v", att)
+	}
+}
+
+// TestStepTrafficClasses pins the engine's traffic-class tagging on a
+// scheduled array: with every block on the SSD tier, activation traffic
+// moves only as fetch and write-behind — at the canonical configuration
+// (readiness-ordered state reads, adaptive depth) and at window 0
+// (DisablePipeline). The same step with every block recomputed is the
+// optimizer-only baseline: it queues no fetch or write-behind transfer,
+// and its opt-read and writeback counts must match the swapping run's
+// exactly, so no activation transfer hides in an optimizer class.
+func TestStepTrafficClasses(t *testing.T) {
+	base := Config{
+		Model:       miniConfig(),
+		GradMode:    agoffload.Optimized,
+		Devices:     3,
+		SSD:         &nvme.Config{OpLatency: time.Microsecond, StripeSize: 1 << 10},
+		Sched:       true,
+		OptSchedule: opt.ScheduleReadiness,
+	}
+	allSSD := map[int]Tier{}
+	for i := 0; i < base.Model.Layers; i++ {
+		allSSD[i] = SwapSSD
+	}
+	// secondStep reports the per-class transfers of the second step (the
+	// first also carries the optimizer's construction-time state seeding).
+	secondStep := func(cfg Config) (n [nvme.NumClasses]int64) {
+		e := newEngine(t, cfg)
+		tokens, targets := data(cfg.Model, 3)
+		for s := 0; s < 2; s++ {
+			if _, err := e.TrainStep(tokens, targets); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for c, d := range e.LastStepMetrics().Sched {
+			n[c] = d.Dispatched
+		}
+		return n
+	}
+	modes := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"canonical", func(c *Config) { c.AdaptiveDepth = true }},
+		{"window0", func(c *Config) { c.DisablePipeline = true }},
+	}
+	var activations [][nvme.NumClasses]int64
+	for _, mode := range modes {
+		cfg := base
+		mode.mut(&cfg)
+		swapped := cfg
+		swapped.Swap = allSSD
+		got, ref := secondStep(swapped), secondStep(cfg)
+		activations = append(activations, got)
+		for c := range got {
+			class := nvme.Class(c)
+			switch class {
+			case nvme.ClassCriticalFetch, nvme.ClassWriteBehind:
+				if got[c] == 0 || ref[c] != 0 {
+					t.Errorf("%s: %s transfers %d with SSD-tier blocks, %d without; want > 0 and 0", mode.name, class, got[c], ref[c])
+				}
+			default:
+				if got[c] != ref[c] {
+					t.Errorf("%s: %s transfers %d with SSD-tier blocks, %d without; activation traffic leaked into an optimizer class", mode.name, class, got[c], ref[c])
+				}
+			}
+		}
+	}
+	// Window 0 reads and writes each block exactly once, as read-ahead does:
+	// a duplicate fetch or write shows up as a larger count.
+	for _, class := range []nvme.Class{nvme.ClassCriticalFetch, nvme.ClassWriteBehind} {
+		if canon, w0 := activations[0][class], activations[1][class]; w0 != canon {
+			t.Errorf("window0: %s transfers %d, canonical %d; want equal", class, w0, canon)
+		}
 	}
 }

@@ -17,8 +17,8 @@ import (
 // Ownership protocol: a buffer returned by Get belongs to the caller until
 // it is passed to Put; after Put the caller must not read, write, retain, or
 // re-Put it — the buffer may already back another caller's data. The
-// `xferown` ratelvet analyzer (successor of the retired `bufreuse`) flags
-// uses past the Put — on every control-flow path — in engine and nvme code.
+// `xferown` ratelvet analyzer flags uses past the Put — on every
+// control-flow path — in engine and nvme code.
 type BufPool struct {
 	mu      sync.Mutex
 	classes [bufClassCount][][]byte

@@ -86,28 +86,35 @@ func TestBufPoolBoundsRetention(t *testing.T) {
 	}
 }
 
-func TestPutFromTransfersOwnership(t *testing.T) {
+// TestPutClassBorrowsOnly pins the write half of the borrowed-buffer
+// protocol: PutClass never retains its argument, so the caller may hand a
+// pooled buffer back to the pool the moment the call returns — even if the
+// next Get reuses and overwrites it, the stored object is intact.
+func TestPutClassBorrowsOnly(t *testing.T) {
 	a := openMem(t, 2)
 	data := []byte("spilled optimizer state bytes......")
 	buf := Buffers.Get(len(data))
 	copy(buf, data)
-	before := Buffers.Stats()
-	if err := a.PutFrom("k", buf); err != nil {
+	if err := a.PutClass("k", buf, ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
-	// The buffer is back in the pool: a same-class Get reuses it.
+	before := Buffers.Stats()
+	Buffers.Put(buf)
 	again := Buffers.Get(len(data))
 	after := Buffers.Stats()
 	if after.Hits+after.Steals <= before.Hits+before.Steals {
-		t.Fatalf("PutFrom did not recycle the buffer: %+v -> %+v", before, after)
+		t.Fatalf("the pool did not recycle the written buffer: %+v -> %+v", before, after)
+	}
+	for i := range again {
+		again[i] = 0xAB
 	}
 	Buffers.Put(again)
-	got, err := a.Get("k")
+	got, err := readObject(a, "k", ClassCriticalFetch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatal("PutFrom corrupted data")
+		t.Fatal("recycling the written buffer corrupted the stored object")
 	}
 }
 
@@ -122,13 +129,13 @@ func TestPutSameSizeReusesChunks(t *testing.T) {
 	defer a.Close()
 
 	first := bytes.Repeat([]byte{7}, 500)
-	if err := a.Put("k", first); err != nil {
+	if err := a.PutClass("k", first, ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
 	layout := append([]chunkRef(nil), a.objs["k"].chunks...)
 
 	second := bytes.Repeat([]byte{9}, 500)
-	if err := a.Put("k", second); err != nil {
+	if err := a.PutClass("k", second, ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
 	obj := a.objs["k"]
@@ -140,7 +147,7 @@ func TestPutSameSizeReusesChunks(t *testing.T) {
 			t.Fatalf("chunk %d moved: %+v -> %+v", i, layout[i], c)
 		}
 	}
-	got, err := a.Get("k")
+	got, err := readObject(a, "k", ClassCriticalFetch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +157,10 @@ func TestPutSameSizeReusesChunks(t *testing.T) {
 
 	// Different size falls back to realloc and still round-trips.
 	third := bytes.Repeat([]byte{4}, 130)
-	if err := a.Put("k", third); err != nil {
+	if err := a.PutClass("k", third, ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := a.Get("k"); err != nil || !bytes.Equal(got, third) {
+	if got, err := readObject(a, "k", ClassCriticalFetch); err != nil || !bytes.Equal(got, third) {
 		t.Fatalf("resize overwrite: %v", err)
 	}
 }

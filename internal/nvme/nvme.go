@@ -59,8 +59,8 @@ type Config struct {
 	// style); reads fall back to the mirror when the primary fails.
 	// Requires at least two devices and halves usable capacity.
 	Mirror bool
-	// DeviceCapacity, when > 0, caps each device's allocated bytes; Put
-	// fails with ErrNoSpace when a chunk cannot be placed.
+	// DeviceCapacity, when > 0, caps each device's allocated bytes;
+	// PutClass fails with ErrNoSpace when a chunk cannot be placed.
 	DeviceCapacity units.Bytes
 	// Sched enables the priority-aware transfer scheduler: duplex per-device
 	// queues (reads dispatch independently of writes), class-priority
@@ -172,9 +172,9 @@ type Array struct {
 	writeOps     int64
 	perDevBytes  []int64
 
-	// Per-direction in-flight object transfers (reads: Get/ReadInto;
-	// writes: Put) and their cumulative high-water marks. The peaks expose
-	// the depth the engine's write-behind queue and read-ahead window
+	// Per-direction in-flight object transfers (reads: ReadIntoClass;
+	// writes: PutClass) and their cumulative high-water marks. The peaks
+	// expose the depth the engine's write-behind queue and read-ahead window
 	// actually reached on the array.
 	readsInFlight  atomic.Int64
 	writesInFlight atomic.Int64
@@ -186,8 +186,8 @@ type Array struct {
 type Stats struct {
 	BytesRead    units.Bytes
 	BytesWritten units.Bytes
-	// ReadOps / WriteOps count completed object-level operations (Get and
-	// ReadInto; Put).
+	// ReadOps / WriteOps count completed object-level operations
+	// (ReadIntoClass; PutClass).
 	ReadOps, WriteOps int64
 	// ReadsInFlight / WritesInFlight are the object transfers in progress at
 	// the instant of the snapshot; PeakReadsInFlight / PeakWritesInFlight
@@ -204,11 +204,11 @@ type Stats struct {
 	StoredBytes units.Bytes
 }
 
-// SetTracer installs a wall-clock span tracer: every Put records a span on
-// obs.LaneNVMeWrite and every Get/ReadInto on obs.LaneNVMeRead (named by
-// object key), plus one per-device span per transfer (named "ssdN") so the
-// stripe parallelism is visible on the timeline. A nil tracer disables
-// tracing. Safe to call concurrently with I/O.
+// SetTracer installs a wall-clock span tracer: every PutClass records a
+// span on obs.LaneNVMeWrite and every ReadIntoClass on obs.LaneNVMeRead
+// (named by object key), plus one per-device span per transfer (named
+// "ssdN") so the stripe parallelism is visible on the timeline. A nil
+// tracer disables tracing. Safe to call concurrently with I/O.
 func (a *Array) SetTracer(tr *obs.Tracer) {
 	a.tracer.Store(tr)
 	// devLabel strings are preallocated at Open; nothing else to do.
@@ -381,85 +381,89 @@ func (a *Array) InjectFaultAfter(dev, ops int, err error) {
 	d.mu.Unlock()
 }
 
-// Put stores data under key, replacing any previous object. data is
-// borrowed only for the duration of the call and never retained, so callers
-// may recycle it immediately after Put returns (see PutFrom).
+// PutClass stores data under key, replacing any previous object, and
+// queues its stripes as traffic class class. data is borrowed only for the
+// duration of the call and never retained, so callers may recycle it as
+// soon as PutClass returns.
 //
 // Overwriting a key with an object of the same size reuses the existing
 // chunk layout in place — no chunk free/realloc churn on the steady-state
 // swap path, where every block's blob has a fixed size. If the in-place
 // write fails partway, the stored object's contents are undefined (with
 // Checksums enabled, subsequent reads fail with ErrCorrupt).
-//
-// Put schedules as ClassWriteback; use PutClass to tag other traffic.
-func (a *Array) Put(key string, data []byte) error {
-	return a.PutClass(key, data, ClassWriteback)
-}
-
-// PutClass is Put with an explicit scheduler traffic class.
 func (a *Array) PutClass(key string, data []byte, class Class) error {
 	if class >= NumClasses {
 		return fmt.Errorf("nvme: put %q: invalid class %d", key, class)
 	}
 	a.mu.RLock()
-	old, ok := a.objs[key]
+	obj, inPlace := a.objs[key]
 	a.mu.RUnlock()
-	if ok && old.size == len(data) {
-		obj := old
-		if a.cfg.Checksums {
-			obj.crc = crc32.Checksum(data, crcTable)
-		}
-		o := a.obsv.Load()
-		var opStart time.Time
-		if o != nil {
-			opStart = time.Now()
-		}
-		sp := a.tracer.Load().StartSpan(obs.LaneNVMeWrite, key)
-		err := a.transfer(obj, data, true, class)
-		sp.End()
-		if err != nil {
+	inPlace = inPlace && obj.size == len(data)
+	if !inPlace {
+		var err error
+		if obj, err = a.allocObject(key, len(data)); err != nil {
 			return err
 		}
-		if o != nil {
-			o.note(key, int64(len(data)), true, time.Since(opStart))
-		}
-		a.mu.Lock()
-		a.objs[key] = obj
-		a.mu.Unlock()
-		a.statMu.Lock()
-		a.bytesWritten += int64(len(data))
-		a.writeOps++
-		a.statMu.Unlock()
-		return nil
 	}
-	if err := a.Delete(key); err != nil && !errors.Is(err, ErrNotFound) {
-		return err
-	}
-	stripe := a.cfg.StripeSize
-	n := (len(data) + stripe - 1) / stripe
-	obj := object{size: len(data), chunks: make([]chunkRef, 0, n)}
 	if a.cfg.Checksums {
 		obj.crc = crc32.Checksum(data, crcTable)
 	}
+	o := a.obsv.Load()
+	var opStart time.Time
+	if o != nil {
+		opStart = time.Now()
+	}
+	sp := a.tracer.Load().StartSpan(obs.LaneNVMeWrite, key)
+	err := a.transfer(obj, data, true, class)
+	sp.End()
+	if err != nil {
+		if !inPlace {
+			a.releaseChunks(obj)
+		}
+		return err
+	}
+	if o != nil {
+		o.note(key, int64(len(data)), true, time.Since(opStart))
+	}
+	a.mu.Lock()
+	a.objs[key] = obj
+	a.mu.Unlock()
+	a.statMu.Lock()
+	a.bytesWritten += int64(len(data))
+	a.writeOps++
+	a.statMu.Unlock()
+	return nil
+}
+
+// allocObject drops any previous object under key and reserves a fresh
+// chunk layout for size bytes, striped round-robin (plus mirror chunks when
+// enabled).
+func (a *Array) allocObject(key string, size int) (object, error) {
+	if err := a.Delete(key); err != nil && !errors.Is(err, ErrNotFound) {
+		return object{}, err
+	}
+	stripe := a.cfg.StripeSize
+	n := (size + stripe - 1) / stripe
+	obj := object{size: size, chunks: make([]chunkRef, 0, n)}
 
 	a.mu.Lock()
 	start := a.nextRR
 	a.nextRR = (a.nextRR + n) % len(a.devs)
 	a.mu.Unlock()
 
-	// Allocate chunks round-robin, then write them with one worker per
-	// device so striping yields real parallel bandwidth.
+	// Chunks of one device stride are written by that device's dispatcher,
+	// so striping yields real parallel bandwidth.
 	for i := 0; i < n; i++ {
 		dev := (start + i) % len(a.devs)
 		lo := i * stripe
 		hi := lo + stripe
-		if hi > len(data) {
-			hi = len(data)
+		if hi > size {
+			hi = size
 		}
 		off, err := a.allocChunk(dev)
 		if err != nil {
 			a.releaseChunks(obj)
-			return fmt.Errorf("nvme: put %q: %w", key, err)
+			return object{}, fmt.Errorf("nvme: put %q: %w", key, err)
 		}
 		ref := chunkRef{dev: dev, off: off, n: hi - lo, mirrorDev: -1}
 		if a.cfg.Mirror {
@@ -468,54 +472,13 @@ func (a *Array) PutClass(key string, data []byte, class Class) error {
 			if err != nil {
 				a.releaseChunks(obj)
 				a.devs[dev].release(off)
-				return fmt.Errorf("nvme: put %q mirror: %w", key, err)
+				return object{}, fmt.Errorf("nvme: put %q mirror: %w", key, err)
 			}
 			ref.mirrorDev, ref.mirrorOff = mdev, moff
 		}
 		obj.chunks = append(obj.chunks, ref)
 	}
-
-	o := a.obsv.Load()
-	var opStart time.Time
-	if o != nil {
-		opStart = time.Now()
-	}
-	sp := a.tracer.Load().StartSpan(obs.LaneNVMeWrite, key)
-	if err := a.transfer(obj, data, true, class); err != nil {
-		sp.End()
-		a.releaseChunks(obj)
-		return err
-	}
-	sp.End()
-	if o != nil {
-		o.note(key, int64(len(data)), true, time.Since(opStart))
-	}
-	a.mu.Lock()
-	a.objs[key] = obj
-	a.mu.Unlock()
-
-	a.statMu.Lock()
-	a.bytesWritten += int64(len(data))
-	a.writeOps++
-	a.statMu.Unlock()
-	return nil
-}
-
-// PutFrom stores data under key and then recycles data into the shared
-// buffer pool (Buffers). Ownership of data transfers to the array at the
-// call: the caller must not read, write, or retain data afterwards — even
-// when PutFrom returns an error, the buffer is gone. It is the write half of
-// the borrowed-buffer protocol (ReadInto is the read half); pair it with
-// Buffers.Get so steady-state spills allocate nothing.
-func (a *Array) PutFrom(key string, data []byte) error {
-	return a.PutFromClass(key, data, ClassWriteback)
-}
-
-// PutFromClass is PutFrom with an explicit scheduler traffic class.
-func (a *Array) PutFromClass(key string, data []byte, class Class) error {
-	err := a.PutClass(key, data, class)
-	Buffers.Put(data)
-	return err
+	return obj, nil
 }
 
 // Size reports the stored size of key.
@@ -537,48 +500,6 @@ func (a *Array) Has(key string) bool {
 	return ok
 }
 
-// Get reads the object stored under key. It schedules as
-// ClassCriticalFetch; use GetClass to tag other traffic.
-func (a *Array) Get(key string) ([]byte, error) {
-	return a.GetClass(key, ClassCriticalFetch)
-}
-
-// GetClass is Get with an explicit scheduler traffic class.
-func (a *Array) GetClass(key string, class Class) ([]byte, error) {
-	if class >= NumClasses {
-		return nil, fmt.Errorf("nvme: get %q: invalid class %d", key, class)
-	}
-	a.mu.RLock()
-	obj, ok := a.objs[key]
-	a.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	dst := make([]byte, obj.size)
-	o := a.obsv.Load()
-	var opStart time.Time
-	if o != nil {
-		opStart = time.Now()
-	}
-	sp := a.tracer.Load().StartSpan(obs.LaneNVMeRead, key)
-	if err := a.transfer(obj, dst, false, class); err != nil {
-		sp.End()
-		return nil, err
-	}
-	sp.End()
-	if o != nil {
-		o.note(key, int64(obj.size), false, time.Since(opStart))
-	}
-	if err := a.verify(key, obj, dst); err != nil {
-		return nil, err
-	}
-	a.statMu.Lock()
-	a.bytesRead += int64(obj.size)
-	a.readOps++
-	a.statMu.Unlock()
-	return dst, nil
-}
-
 // verify checks an object's checksum when enabled.
 func (a *Array) verify(key string, obj object, data []byte) error {
 	if !a.cfg.Checksums {
@@ -592,14 +513,8 @@ func (a *Array) verify(key string, obj object, data []byte) error {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// ReadInto reads key into dst, which must have the object's exact size. It
-// avoids allocation on the engine's hot swap-in path, and schedules as
-// ClassCriticalFetch; use ReadIntoClass to tag other traffic.
-func (a *Array) ReadInto(key string, dst []byte) error {
-	return a.ReadIntoClass(key, dst, ClassCriticalFetch)
-}
-
-// ReadIntoClass is ReadInto with an explicit scheduler traffic class.
+// ReadIntoClass reads key into dst, which must have the object's exact
+// size, queueing its stripes as traffic class class. It allocates nothing.
 func (a *Array) ReadIntoClass(key string, dst []byte, class Class) error {
 	if class >= NumClasses {
 		return fmt.Errorf("nvme: read %q: invalid class %d", key, class)
@@ -611,7 +526,7 @@ func (a *Array) ReadIntoClass(key string, dst []byte, class Class) error {
 		return fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
 	if len(dst) != obj.size {
-		return fmt.Errorf("nvme: ReadInto %q: dst %d bytes, object %d", key, len(dst), obj.size)
+		return fmt.Errorf("nvme: read %q: dst %d bytes, object %d", key, len(dst), obj.size)
 	}
 	o := a.obsv.Load()
 	var opStart time.Time
@@ -955,7 +870,13 @@ func (a *Array) Scrub() (bad []string, err error) {
 		return nil, fmt.Errorf("nvme: scrub requires checksums")
 	}
 	for _, key := range a.Keys() {
-		if _, rerr := a.Get(key); rerr != nil {
+		n, rerr := a.Size(key)
+		if rerr == nil {
+			buf := Buffers.Get(int(n))
+			rerr = a.ReadIntoClass(key, buf, ClassCriticalFetch)
+			Buffers.Put(buf)
+		}
+		if rerr != nil {
 			bad = append(bad, key)
 		}
 	}

@@ -24,16 +24,29 @@ func openMem(t *testing.T, devices int) *Array {
 	return a
 }
 
+// readObject reads key whole into a fresh buffer sized from the array.
+func readObject(a *Array, key string, class Class) ([]byte, error) {
+	n, err := a.Size(key)
+	if err != nil {
+		return nil, err
+	}
+	dst := make([]byte, n)
+	if err := a.ReadIntoClass(key, dst, class); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	a := openMem(t, 4)
 	data := make([]byte, 1000)
 	for i := range data {
 		data[i] = byte(i)
 	}
-	if err := a.Put("k", data); err != nil {
+	if err := a.PutClass("k", data, ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.Get("k")
+	got, err := readObject(a, "k", ClassCriticalFetch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,33 +61,33 @@ func TestPutGetRoundTrip(t *testing.T) {
 func TestReadInto(t *testing.T) {
 	a := openMem(t, 2)
 	data := []byte("hello nvme array")
-	if err := a.Put("k", data); err != nil {
+	if err := a.PutClass("k", data, ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, len(data))
-	if err := a.ReadInto("k", dst); err != nil {
+	if err := a.ReadIntoClass("k", dst, ClassCriticalFetch); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dst, data) {
-		t.Fatal("ReadInto corrupted data")
+		t.Fatal("ReadIntoClass corrupted data")
 	}
-	if err := a.ReadInto("k", make([]byte, 3)); err == nil {
-		t.Error("ReadInto with wrong size should fail")
+	if err := a.ReadIntoClass("k", make([]byte, 3), ClassCriticalFetch); err == nil {
+		t.Error("ReadIntoClass with wrong size should fail")
 	}
-	if err := a.ReadInto("missing", dst); !errors.Is(err, ErrNotFound) {
-		t.Errorf("ReadInto(missing) = %v, want ErrNotFound", err)
+	if err := a.ReadIntoClass("missing", dst, ClassCriticalFetch); !errors.Is(err, ErrNotFound) {
+		t.Errorf("ReadIntoClass(missing) = %v, want ErrNotFound", err)
 	}
 }
 
 func TestOverwriteReplaces(t *testing.T) {
 	a := openMem(t, 3)
-	if err := a.Put("k", bytes.Repeat([]byte{1}, 500)); err != nil {
+	if err := a.PutClass("k", bytes.Repeat([]byte{1}, 500), ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Put("k", bytes.Repeat([]byte{2}, 100)); err != nil {
+	if err := a.PutClass("k", bytes.Repeat([]byte{2}, 100), ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.Get("k")
+	got, err := readObject(a, "k", ClassCriticalFetch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +101,7 @@ func TestOverwriteReplaces(t *testing.T) {
 
 func TestDeleteAndChunkReuse(t *testing.T) {
 	a := openMem(t, 2)
-	if err := a.Put("k", make([]byte, 640)); err != nil {
+	if err := a.PutClass("k", make([]byte, 640), ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Delete("k"); err != nil {
@@ -102,7 +115,7 @@ func TestDeleteAndChunkReuse(t *testing.T) {
 	}
 	// Freed chunks are reused: device high-water mark should not grow.
 	before := a.devs[0].next + a.devs[1].next
-	if err := a.Put("k2", make([]byte, 640)); err != nil {
+	if err := a.PutClass("k2", make([]byte, 640), ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
 	after := a.devs[0].next + a.devs[1].next
@@ -114,7 +127,7 @@ func TestDeleteAndChunkReuse(t *testing.T) {
 func TestStripingBalancesDevices(t *testing.T) {
 	a := openMem(t, 4)
 	for i := 0; i < 8; i++ {
-		if err := a.Put(fmt.Sprintf("k%d", i), make([]byte, 64*16)); err != nil {
+		if err := a.PutClass(fmt.Sprintf("k%d", i), make([]byte, 64*16), ClassWriteback); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -131,10 +144,10 @@ func TestStripingBalancesDevices(t *testing.T) {
 
 func TestEmptyObject(t *testing.T) {
 	a := openMem(t, 2)
-	if err := a.Put("empty", nil); err != nil {
+	if err := a.PutClass("empty", nil, ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.Get("empty")
+	got, err := readObject(a, "empty", ClassCriticalFetch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,19 +159,19 @@ func TestEmptyObject(t *testing.T) {
 func TestFaultInjection(t *testing.T) {
 	a := openMem(t, 2)
 	data := make([]byte, 1024)
-	if err := a.Put("k", data); err != nil {
+	if err := a.PutClass("k", data, ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("media error")
 	a.InjectFault(1, boom)
-	if _, err := a.Get("k"); err == nil || !errors.Is(err, boom) {
+	if _, err := readObject(a, "k", ClassCriticalFetch); err == nil || !errors.Is(err, boom) {
 		t.Errorf("Get with faulty device = %v, want media error", err)
 	}
-	if err := a.Put("k2", data); err == nil {
+	if err := a.PutClass("k2", data, ClassWriteback); err == nil {
 		t.Error("Put with faulty device should fail")
 	}
 	a.InjectFault(1, nil)
-	if _, err := a.Get("k"); err != nil {
+	if _, err := readObject(a, "k", ClassCriticalFetch); err != nil {
 		t.Errorf("Get after fault cleared = %v", err)
 	}
 	// Out-of-range device indexes are ignored.
@@ -175,10 +188,10 @@ func TestFileBackend(t *testing.T) {
 	defer a.Close()
 	data := make([]byte, 10_000)
 	rand.New(rand.NewSource(1)).Read(data)
-	if err := a.Put("weights", data); err != nil {
+	if err := a.PutClass("weights", data, ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.Get("weights")
+	got, err := readObject(a, "weights", ClassCriticalFetch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +219,11 @@ func TestConcurrentAccess(t *testing.T) {
 			key := fmt.Sprintf("w%d", w)
 			payload := bytes.Repeat([]byte{byte(w)}, 777)
 			for i := 0; i < 20; i++ {
-				if err := a.Put(key, payload); err != nil {
+				if err := a.PutClass(key, payload, ClassWriteback); err != nil {
 					t.Error(err)
 					return
 				}
-				got, err := a.Get(key)
+				got, err := readObject(a, key, ClassCriticalFetch)
 				if err != nil {
 					t.Error(err)
 					return
@@ -228,7 +241,7 @@ func TestConcurrentAccess(t *testing.T) {
 func TestKeysSorted(t *testing.T) {
 	a := openMem(t, 1)
 	for _, k := range []string{"c", "a", "b"} {
-		if err := a.Put(k, []byte{1}); err != nil {
+		if err := a.PutClass(k, []byte{1}, ClassWriteback); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -254,10 +267,10 @@ func TestRoundTripProperty(t *testing.T) {
 		defer a.Close()
 		data := make([]byte, int(size))
 		rand.New(rand.NewSource(seed)).Read(data)
-		if err := a.Put("k", data); err != nil {
+		if err := a.PutClass("k", data, ClassWriteback); err != nil {
 			return false
 		}
-		got, err := a.Get("k")
+		got, err := readObject(a, "k", ClassCriticalFetch)
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -280,7 +293,7 @@ func TestThrottleScalesWithDevices(t *testing.T) {
 		defer a.Close()
 		data := make([]byte, size)
 		start := time.Now()
-		if err := a.Put("k", data); err != nil {
+		if err := a.PutClass("k", data, ClassWriteback); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)
@@ -301,19 +314,19 @@ func TestChecksumsDetectCorruption(t *testing.T) {
 	}
 	defer a.Close()
 	data := bytes.Repeat([]byte{7}, 200)
-	if err := a.Put("k", data); err != nil {
+	if err := a.PutClass("k", data, ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Get("k"); err != nil {
+	if _, err := readObject(a, "k", ClassCriticalFetch); err != nil {
 		t.Fatalf("clean read failed: %v", err)
 	}
 	// Corrupt the backing store directly.
 	a.devs[0].back.(*memBackend).data[10] ^= 0xff
-	if _, err := a.Get("k"); !errors.Is(err, ErrCorrupt) {
+	if _, err := readObject(a, "k", ClassCriticalFetch); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("corrupted read = %v, want ErrCorrupt", err)
 	}
-	if err := a.ReadInto("k", make([]byte, 200)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("corrupted ReadInto = %v, want ErrCorrupt", err)
+	if err := a.ReadIntoClass("k", make([]byte, 200), ClassCriticalFetch); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("corrupted ReadIntoClass = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -325,12 +338,12 @@ func TestOpLatencyApplied(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if err := a.Put("k", make([]byte, 1024)); err != nil {
+	if err := a.PutClass("k", make([]byte, 1024), ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
 	for i := 0; i < 5; i++ {
-		if _, err := a.Get("k"); err != nil {
+		if _, err := readObject(a, "k", ClassCriticalFetch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -348,13 +361,13 @@ func TestMirrorSurvivesDeviceFailure(t *testing.T) {
 	}
 	defer a.Close()
 	data := bytes.Repeat([]byte{42}, 500)
-	if err := a.Put("k", data); err != nil {
+	if err := a.PutClass("k", data, ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("dead device")
 	for dev := 0; dev < 3; dev++ {
 		a.InjectFault(dev, boom)
-		got, err := a.Get("k")
+		got, err := readObject(a, "k", ClassCriticalFetch)
 		if err != nil {
 			t.Fatalf("read with device %d down: %v", dev, err)
 		}
@@ -366,7 +379,7 @@ func TestMirrorSurvivesDeviceFailure(t *testing.T) {
 	// Two adjacent failures kill both primary and mirror of some chunk.
 	a.InjectFault(0, boom)
 	a.InjectFault(1, boom)
-	if _, err := a.Get("k"); err == nil {
+	if _, err := readObject(a, "k", ClassCriticalFetch); err == nil {
 		t.Error("read survived loss of both replicas")
 	}
 }
@@ -377,7 +390,7 @@ func TestMirrorRequiresTwoDevices(t *testing.T) {
 	}
 }
 
-// TestDeviceCapacity: Put fails with ErrNoSpace when the array is full, and
+// TestDeviceCapacity: PutClass fails with ErrNoSpace when the array is full, and
 // freed space is reusable.
 func TestDeviceCapacity(t *testing.T) {
 	a, err := Open(Config{Devices: 2, StripeSize: 64, DeviceCapacity: 128})
@@ -386,16 +399,16 @@ func TestDeviceCapacity(t *testing.T) {
 	}
 	defer a.Close()
 	// Four chunks total fit (2 devices x 128 bytes / 64-byte chunks).
-	if err := a.Put("a", make([]byte, 256)); err != nil {
+	if err := a.PutClass("a", make([]byte, 256), ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Put("b", make([]byte, 64)); !errors.Is(err, ErrNoSpace) {
+	if err := a.PutClass("b", make([]byte, 64), ClassWriteback); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("over-capacity Put = %v, want ErrNoSpace", err)
 	}
 	if err := a.Delete("a"); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Put("b", make([]byte, 256)); err != nil {
+	if err := a.PutClass("b", make([]byte, 256), ClassWriteback); err != nil {
 		t.Fatalf("Put after freeing space: %v", err)
 	}
 }
@@ -407,10 +420,10 @@ func TestMirrorCapacityAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if err := a.Put("a", make([]byte, 128)); err != nil {
+	if err := a.PutClass("a", make([]byte, 128), ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Put("b", make([]byte, 128)); !errors.Is(err, ErrNoSpace) {
+	if err := a.PutClass("b", make([]byte, 128), ClassWriteback); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("mirrored over-capacity Put = %v, want ErrNoSpace", err)
 	}
 }
@@ -422,7 +435,7 @@ func TestScrub(t *testing.T) {
 	}
 	defer a.Close()
 	for _, k := range []string{"a", "b", "c"} {
-		if err := a.Put(k, bytes.Repeat([]byte{k[0]}, 200)); err != nil {
+		if err := a.PutClass(k, bytes.Repeat([]byte{k[0]}, 200), ClassWriteback); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -462,7 +475,7 @@ func TestStatsUnderConcurrency(t *testing.T) {
 	)
 	// Seed one object per reader so reads never miss.
 	for r := 0; r < readers; r++ {
-		if err := a.Put(fmt.Sprintf("seed%d", r), bytes.Repeat([]byte{byte(r)}, payload)); err != nil {
+		if err := a.PutClass(fmt.Sprintf("seed%d", r), bytes.Repeat([]byte{byte(r)}, payload), ClassWriteback); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -497,7 +510,7 @@ func TestStatsUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			data := bytes.Repeat([]byte{byte(w)}, payload)
 			for i := 0; i < iterations; i++ {
-				if err := a.Put(fmt.Sprintf("w%d", w), data); err != nil {
+				if err := a.PutClass(fmt.Sprintf("w%d", w), data, ClassWriteback); err != nil {
 					t.Error(err)
 					return
 				}
@@ -509,7 +522,7 @@ func TestStatsUnderConcurrency(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
-				if _, err := a.Get(fmt.Sprintf("seed%d", r)); err != nil {
+				if _, err := readObject(a, fmt.Sprintf("seed%d", r), ClassCriticalFetch); err != nil {
 					t.Error(err)
 					return
 				}
@@ -546,20 +559,20 @@ func TestStatsUnderConcurrency(t *testing.T) {
 }
 
 // TestTracerRecordsIO checks SetTracer yields object- and device-level
-// spans on the NVMe lanes, and that ReadInto traces like Get.
+// spans on the NVMe lanes, one object span per read.
 func TestTracerRecordsIO(t *testing.T) {
 	a := openMem(t, 2)
 	tr := obs.NewTracer(256)
 	a.SetTracer(tr)
 	data := bytes.Repeat([]byte{7}, 200) // 4 chunks at stripe 64 -> 2 devices
-	if err := a.Put("k", data); err != nil {
+	if err := a.PutClass("k", data, ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Get("k"); err != nil {
+	if _, err := readObject(a, "k", ClassCriticalFetch); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]byte, len(data))
-	if err := a.ReadInto("k", dst); err != nil {
+	if err := a.ReadIntoClass("k", dst, ClassCriticalFetch); err != nil {
 		t.Fatal(err)
 	}
 	spans := tr.Spans()
@@ -576,7 +589,7 @@ func TestTracerRecordsIO(t *testing.T) {
 		t.Errorf("object write spans = %d, want 1", got)
 	}
 	if got := count(obs.LaneNVMeRead, "k"); got != 2 {
-		t.Errorf("object read spans = %d, want 2 (Get + ReadInto)", got)
+		t.Errorf("object read spans = %d, want 2 (one per read)", got)
 	}
 	// 200 bytes over stripe 64 is 4 chunks striped over both devices, so
 	// each transfer has a span per device.
@@ -591,7 +604,7 @@ func TestTracerRecordsIO(t *testing.T) {
 	// Disabling works mid-stream.
 	a.SetTracer(nil)
 	before, _ := tr.Recorded()
-	if err := a.Put("k2", data); err != nil {
+	if err := a.PutClass("k2", data, ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
 	if after, _ := tr.Recorded(); after != before {

@@ -23,7 +23,7 @@ import (
 // coalescing adjacent stripe chunks into one throttled submission.
 //
 // The scheduler reorders only the *timing* of I/O, never its data: a
-// transfer still completes before Put/Get/ReadInto returns, chunk buffers
+// transfer still completes before PutClass/ReadIntoClass returns, chunk buffers
 // are disjoint, and callers' ordering constraints (the engine's pipeline
 // barrier, the optimizer's group sequencing) are expressed as
 // completion-before-issue dependencies the scheduler cannot invert.

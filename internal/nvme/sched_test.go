@@ -29,8 +29,8 @@ func TestParseClassOrder(t *testing.T) {
 		t.Fatalf("empty order: %v, %v", got, err)
 	}
 	for _, bad := range []string{
-		"fetch",                                    // too few
-		"fetch,fetch,writeback,write-behind",       // duplicate
+		"fetch",                              // too few
+		"fetch,fetch,writeback,write-behind", // duplicate
 		"fetch,opt-read,writeback,activation-dump", // unknown name
 	} {
 		if _, err := ParseClassOrder(bad); err == nil {
@@ -127,7 +127,7 @@ func TestSchedRoundTripAllClasses(t *testing.T) {
 		if err := a.PutClass(key, data, c); err != nil {
 			t.Fatal(err)
 		}
-		got, err := a.GetClass(key, c)
+		got, err := readObject(a, key, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestSchedDuplexReadsBypassWrites(t *testing.T) {
 	}
 	defer a.Close()
 	small := make([]byte, 8<<10)
-	if err := a.Put("hot", small); err != nil {
+	if err := a.PutClass("hot", small, ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
 	big := make([]byte, 512<<10) // ~256ms on the write lane
@@ -233,7 +233,7 @@ func TestFCFSDoesNotCoalesce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if err := a.Put("k", make([]byte, 8<<10)); err != nil {
+	if err := a.PutClass("k", make([]byte, 8<<10), ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
 	for c := Class(0); c < NumClasses; c++ {
@@ -259,10 +259,10 @@ func TestThrottleZeroByteTransfers(t *testing.T) {
 	}
 	defer a.Close()
 	start := time.Now()
-	if err := a.Put("empty", nil); err != nil {
+	if err := a.PutClass("empty", nil, ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.Get("empty")
+	got, err := readObject(a, "empty", ClassCriticalFetch)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty round trip: %v bytes, err %v", len(got), err)
 	}
@@ -355,7 +355,7 @@ func TestThrottleHostConcurrentFairness(t *testing.T) {
 			defer wg.Done()
 			buf := make([]byte, size)
 			for i := 0; i < ops; i++ {
-				if err := a.Put(fmt.Sprintf("w%d", w), buf); err != nil {
+				if err := a.PutClass(fmt.Sprintf("w%d", w), buf, ClassWriteback); err != nil {
 					t.Error(err)
 					return
 				}
@@ -400,7 +400,7 @@ func TestSchedCloseSemantics(t *testing.T) {
 	}
 	dst := make([]byte, 4<<10)
 	if err := a.ReadIntoClass("k", dst, ClassCriticalFetch); !errors.Is(err, ErrClosed) {
-		t.Fatalf("ReadInto after Close = %v, want ErrClosed", err)
+		t.Fatalf("ReadIntoClass after Close = %v, want ErrClosed", err)
 	}
 }
 
@@ -448,7 +448,7 @@ func TestSchedCriticalFetchBoundedUnderFlood(t *testing.T) {
 	}
 	defer a.Close()
 	hot := make([]byte, 8<<10)
-	if err := a.Put("hot", hot); err != nil {
+	if err := a.PutClass("hot", hot, ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
 	bulk := make([]byte, 128<<10)

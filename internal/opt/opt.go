@@ -92,64 +92,37 @@ func adamChunk(cfg AdamConfig, b1c, b2c float64, p32, m, v, grad []float32) {
 }
 
 // Store is the storage the out-of-core optimizer streams model states
-// through; *nvme.Array satisfies it. Put must not retain data after it
-// returns — the optimizer encodes into reusable scratch buffers. Get returns
-// a buffer the caller owns.
+// through; *nvme.Array satisfies it. Every transfer carries its traffic
+// class, so the optimizer's state streams keep their true priority on the
+// NVMe transfer scheduler: reads ahead of the Adam sweep are
+// latency-sensitive (ClassOptRead), state write-backs are not
+// (ClassWriteback). PutClass must not retain data after it returns — the
+// optimizer encodes into reusable scratch buffers. ReadIntoClass fills dst,
+// which must be exactly the stored object's size.
 type Store interface {
-	Put(key string, data []byte) error
-	Get(key string) ([]byte, error)
-}
-
-// ReadIntoStore is the optional allocation-free read path: stores that
-// implement it (nvme.Array, MemStore) let the optimizer stream state into
-// its own scratch buffer instead of allocating per Get. dst must be exactly
-// the stored object's size.
-type ReadIntoStore interface {
-	ReadInto(key string, dst []byte) error
-}
-
-// classedStore / classedReadStore are the optional traffic-classed paths:
-// stores backed by the NVMe transfer scheduler (*nvme.Array) expose them so
-// the optimizer's state streams carry their true priority — reads ahead of
-// the Adam sweep are latency-sensitive (ClassOptRead), state writebacks are
-// not (ClassWriteback). Stores without classes (MemStore) fall back to the
-// plain Put/ReadInto paths; the bytes moved are identical either way.
-type classedStore interface {
 	PutClass(key string, data []byte, class nvme.Class) error
-}
-
-type classedReadStore interface {
 	ReadIntoClass(key string, dst []byte, class nvme.Class) error
 }
 
 // MemStore is an in-memory Store for tests and the in-memory reference
-// optimizer.
+// optimizer. It has no scheduler, so it ignores traffic classes.
 type MemStore map[string][]byte
 
-// Put stores a copy of data.
-func (s MemStore) Put(key string, data []byte) error {
+// PutClass stores a copy of data.
+func (s MemStore) PutClass(key string, data []byte, _ nvme.Class) error {
 	s[key] = append([]byte(nil), data...)
 	return nil
 }
 
-// Get returns a copy of the stored bytes.
-func (s MemStore) Get(key string) ([]byte, error) {
-	b, ok := s[key]
-	if !ok {
-		return nil, fmt.Errorf("opt: memstore: missing %q", key)
-	}
-	return append([]byte(nil), b...), nil
-}
-
-// ReadInto copies the stored bytes into dst, which must have the object's
-// exact size.
-func (s MemStore) ReadInto(key string, dst []byte) error {
+// ReadIntoClass copies the stored bytes into dst, which must have the
+// object's exact size.
+func (s MemStore) ReadIntoClass(key string, dst []byte, _ nvme.Class) error {
 	b, ok := s[key]
 	if !ok {
 		return fmt.Errorf("opt: memstore: missing %q", key)
 	}
 	if len(dst) != len(b) {
-		return fmt.Errorf("opt: memstore: ReadInto %q: dst %d bytes, object %d", key, len(dst), len(b))
+		return fmt.Errorf("opt: memstore: read %q: dst %d bytes, object %d", key, len(dst), len(b))
 	}
 	copy(dst, b)
 	return nil
@@ -161,9 +134,6 @@ func (s MemStore) ReadInto(key string, dst []byte) error {
 type OutOfCoreAdam struct {
 	cfg       AdamConfig
 	store     Store
-	readInto  ReadIntoStore    // store's optional in-place read path, nil if absent
-	putClass  classedStore     // store's optional classed write path, nil if absent
-	readClass classedReadStore // store's optional classed read path, nil if absent
 	prefix    string
 	step      int
 	gradScale float64 // loss-scale divisor; 0 or 1 means unscaled
@@ -245,11 +215,7 @@ func (o *OutOfCoreAdam) SetClipNorm(n float64) error {
 // NewOutOfCoreAdam creates an optimizer over the given store. prefix
 // namespaces its keys.
 func NewOutOfCoreAdam(store Store, cfg AdamConfig, prefix string) *OutOfCoreAdam {
-	o := &OutOfCoreAdam{cfg: cfg, store: store, prefix: prefix}
-	o.readInto, _ = store.(ReadIntoStore)
-	o.putClass, _ = store.(classedStore)
-	o.readClass, _ = store.(classedReadStore)
-	return o
+	return &OutOfCoreAdam{cfg: cfg, store: store, prefix: prefix}
 }
 
 // Step reports the number of completed optimizer steps.
@@ -483,45 +449,25 @@ func decodeWire(src []byte, dst []float32, group, kind string) error {
 	return nil
 }
 
-// loadFP32Into streams one state tensor into dst, using the store's in-place
-// read path when available (buf is the shared byte staging buffer, exactly
-// 4*len(dst) bytes).
+// loadFP32Into streams one state tensor into dst through buf, the shared
+// byte staging buffer (exactly 4*len(dst) bytes).
 func (o *OutOfCoreAdam) loadFP32Into(dst []float32, buf []byte, key, group, kind string) error {
-	if o.readInto != nil {
-		var err error
-		if o.readClass != nil {
-			err = o.readClass.ReadIntoClass(key, buf, nvme.ClassOptRead)
-		} else {
-			err = o.readInto.ReadInto(key, buf)
-		}
-		if err != nil {
-			return fmt.Errorf("opt: load %s/%s: %w", group, kind, err)
-		}
-		if err := tensor.FromFP32Bytes(buf, dst); err != nil {
-			return fmt.Errorf("opt: decode %s/%s: %w", group, kind, err)
-		}
-		return nil
-	}
-	b, err := o.store.Get(key)
-	if err != nil {
+	if err := o.store.ReadIntoClass(key, buf, nvme.ClassOptRead); err != nil {
 		return fmt.Errorf("opt: load %s/%s: %w", group, kind, err)
 	}
-	if err := tensor.FromFP32Bytes(b, dst); err != nil {
+	if err := tensor.FromFP32Bytes(buf, dst); err != nil {
 		return fmt.Errorf("opt: decode %s/%s: %w", group, kind, err)
 	}
 	return nil
 }
 
-// saveFP32 encodes vals into buf and writes it to the store. Safe because
-// Store.Put must not retain its argument.
+// saveFP32 encodes vals into buf and writes it back to the store. Safe
+// because Store.PutClass must not retain its argument.
 func (o *OutOfCoreAdam) saveFP32(buf []byte, key string, vals []float32) error {
 	if err := tensor.ToFP32BytesInto(buf, vals); err != nil {
 		return err
 	}
-	if o.putClass != nil {
-		return o.putClass.PutClass(key, buf, nvme.ClassWriteback)
-	}
-	return o.store.Put(key, buf)
+	return o.store.PutClass(key, buf, nvme.ClassWriteback)
 }
 
 // MasterWeights returns the group's current fp32 masters (a copy), for

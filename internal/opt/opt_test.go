@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"ratel/internal/nn"
 	"ratel/internal/nvme"
@@ -508,55 +509,152 @@ func TestGradScaleUnscalesInOptimizer(t *testing.T) {
 	}
 }
 
-// getOnlyStore hides a store's ReadInto method, forcing the optimizer onto
-// the allocating Get path.
-type getOnlyStore struct{ s Store }
-
-func (g getOnlyStore) Put(key string, data []byte) error { return g.s.Put(key, data) }
-func (g getOnlyStore) Get(key string) ([]byte, error)    { return g.s.Get(key) }
-
-// TestReadIntoMatchesGet: the scratch-buffered ReadInto fast path and the
-// allocating Get fallback drive bit-identical updates — the pooled spill
-// path changes no values.
-func TestReadIntoMatchesGet(t *testing.T) {
-	modelA := buildModel(t)
-	modelB := buildModel(t)
-
-	fast := NewOutOfCoreAdam(MemStore{}, DefaultAdam(), "fast")
-	slow := NewOutOfCoreAdam(getOnlyStore{MemStore{}}, DefaultAdam(), "slow")
-	for _, g := range modelA.ParamGroups() {
-		if err := fast.InitGroup(g); err != nil {
-			t.Fatal(err)
+// trainSteps runs optimizer steps from..to over groups, through the
+// synchronous UpdateGroup path when p is nil and through the readiness
+// prefetcher otherwise (every fetch launched in gradient-arrival order,
+// consumed after).
+func trainSteps(t *testing.T, m *nn.Model, o *OutOfCoreAdam, p *StatePrefetcher, from, to int) {
+	t.Helper()
+	groups := m.ParamGroups()
+	for step := from; step <= to; step++ {
+		setGrads(m, int64(step))
+		o.BeginStep()
+		if p == nil {
+			for _, g := range groups {
+				if err := o.UpdateGroup(g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			continue
 		}
-	}
-	for _, g := range modelB.ParamGroups() {
-		if err := slow.InitGroup(g); err != nil {
-			t.Fatal(err)
+		for _, g := range groups {
+			p.Launch(g.Name)
 		}
-	}
-	for step := 1; step <= 3; step++ {
-		setGrads(modelA, int64(step))
-		setGrads(modelB, int64(step))
-		fast.BeginStep()
-		slow.BeginStep()
-		for _, g := range modelA.ParamGroups() {
-			if err := fast.UpdateGroup(g); err != nil {
+		for _, g := range groups {
+			if err := p.UpdateGroup(g); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, g := range modelB.ParamGroups() {
-			if err := slow.UpdateGroup(g); err != nil {
-				t.Fatal(err)
+		if err := p.DrainLive(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// newStoreOptimizer seeds an optimizer over store with m's groups and, when
+// prefetch is set, starts a depth-2 state prefetcher for them (closed by
+// the test's cleanup).
+func newStoreOptimizer(t *testing.T, m *nn.Model, store Store, prefetch bool) (*OutOfCoreAdam, *StatePrefetcher) {
+	t.Helper()
+	o := NewOutOfCoreAdam(store, DefaultAdam(), "s")
+	groups := m.ParamGroups()
+	for _, g := range groups {
+		if err := o.InitGroup(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !prefetch {
+		return o, nil
+	}
+	p := NewStatePrefetcher(o, 2, len(groups))
+	t.Cleanup(p.Close)
+	for _, g := range groups {
+		p.Register(g)
+	}
+	return o, p
+}
+
+// openStateArray opens a 3-device array whose transfers queue on the
+// device dispatchers (the per-op latency keeps them off the untimed inline
+// path), FCFS or scheduled.
+func openStateArray(t *testing.T, sched bool) *nvme.Array {
+	t.Helper()
+	a, err := nvme.Open(nvme.Config{Devices: 3, StripeSize: 256, OpLatency: time.Microsecond, Sched: sched})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := a.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return a
+}
+
+// TestStoreBackendsBitIdentical: over three steps, the in-memory store, an
+// FCFS array and a scheduled array drive bit-identical fp16 weights and
+// fp32 masters, through both the synchronous UpdateGroup path and the
+// readiness prefetcher. The backend and the read schedule change only where
+// and when state bytes move, never what the update computes.
+func TestStoreBackendsBitIdentical(t *testing.T) {
+	backends := []struct {
+		name  string
+		store func() Store
+	}{
+		{"mem", func() Store { return &lockedStore{m: MemStore{}} }},
+		{"fcfs", func() Store { return openStateArray(t, false) }},
+		{"sched", func() Store { return openStateArray(t, true) }},
+	}
+	var refW, refM []float32
+	for _, b := range backends {
+		for _, prefetch := range []bool{false, true} {
+			m := buildModel(t)
+			o, p := newStoreOptimizer(t, m, b.store(), prefetch)
+			trainSteps(t, m, o, p, 1, 3)
+			var weights, masters []float32
+			for _, g := range m.ParamGroups() {
+				for _, prm := range g.Params {
+					weights = append(weights, prm.W.Data...)
+				}
+				ms, err := o.MasterWeights(g.Name, g.NumParams())
+				if err != nil {
+					t.Fatal(err)
+				}
+				masters = append(masters, ms...)
+			}
+			if refW == nil {
+				refW, refM = weights, masters
+				continue
+			}
+			for i := range refW {
+				if math.Float32bits(weights[i]) != math.Float32bits(refW[i]) {
+					t.Fatalf("%s prefetch=%v: weight %d = %v, mem sync %v", b.name, prefetch, i, weights[i], refW[i])
+				}
+				if math.Float32bits(masters[i]) != math.Float32bits(refM[i]) {
+					t.Fatalf("%s prefetch=%v: master %d = %v, mem sync %v", b.name, prefetch, i, masters[i], refM[i])
+				}
 			}
 		}
 	}
-	pa, pb := modelA.Params(), modelB.Params()
-	for i := range pa {
-		for j := range pa[i].W.Data {
-			if pa[i].W.Data[j] != pb[i].W.Data[j] {
-				t.Fatalf("param %s[%d]: ReadInto %v vs Get %v",
-					pa[i].Name, j, pa[i].W.Data[j], pb[i].W.Data[j])
+}
+
+// TestOptimizerStepTrafficClasses: on a scheduled array, one optimizer
+// step — synchronous or prefetched — queues its state reads only as
+// opt-read and its write-backs only as writeback, one write-back per read.
+func TestOptimizerStepTrafficClasses(t *testing.T) {
+	for _, prefetch := range []bool{false, true} {
+		a := openStateArray(t, true)
+		m := buildModel(t)
+		o, p := newStoreOptimizer(t, m, a, prefetch)
+		before := a.SchedStats()
+		trainSteps(t, m, o, p, 1, 1)
+		after := a.SchedStats()
+		var moved [nvme.NumClasses]int64
+		for c := range moved {
+			moved[c] = after.PerClass[c].Dispatched - before.PerClass[c].Dispatched
+		}
+		for c, n := range moved {
+			class := nvme.Class(c)
+			state := class == nvme.ClassOptRead || class == nvme.ClassWriteback
+			if state && n == 0 {
+				t.Errorf("prefetch=%v: no %s transfers in an optimizer step", prefetch, class)
 			}
+			if !state && n != 0 {
+				t.Errorf("prefetch=%v: %d optimizer-state transfers tagged %s", prefetch, n, class)
+			}
+		}
+		if r, w := moved[nvme.ClassOptRead], moved[nvme.ClassWriteback]; r != w {
+			t.Errorf("prefetch=%v: %d opt-read transfers but %d writebacks", prefetch, r, w)
 		}
 	}
 }

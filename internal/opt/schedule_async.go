@@ -252,29 +252,11 @@ func (p *StatePrefetcher) fetch(f *stateFetch) error {
 	return nil
 }
 
-// readOne reads one state object into dst, preferring the store's in-place
-// path.
+// readOne reads one state object into dst.
 func (p *StatePrefetcher) readOne(key string, dst []byte, group, kind string) error {
-	if p.o.readInto != nil {
-		var err error
-		if p.o.readClass != nil {
-			err = p.o.readClass.ReadIntoClass(key, dst, nvme.ClassOptRead)
-		} else {
-			err = p.o.readInto.ReadInto(key, dst)
-		}
-		if err != nil {
-			return fmt.Errorf("opt: prefetch %s/%s: %w", group, kind, err)
-		}
-		return nil
-	}
-	b, err := p.o.store.Get(key)
-	if err != nil {
+	if err := p.o.store.ReadIntoClass(key, dst, nvme.ClassOptRead); err != nil {
 		return fmt.Errorf("opt: prefetch %s/%s: %w", group, kind, err)
 	}
-	if len(b) != len(dst) {
-		return fmt.Errorf("opt: prefetch %s/%s: object %d bytes, want %d", group, kind, len(b), len(dst))
-	}
-	copy(dst, b)
 	return nil
 }
 

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"ratel/internal/nvme"
 )
 
 // lockedStore guards a MemStore with a mutex for the prefetcher/applier
@@ -14,22 +16,16 @@ type lockedStore struct {
 	m  MemStore
 }
 
-func (s *lockedStore) Put(key string, data []byte) error {
+func (s *lockedStore) PutClass(key string, data []byte, class nvme.Class) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.m.Put(key, data)
+	return s.m.PutClass(key, data, class)
 }
 
-func (s *lockedStore) Get(key string) ([]byte, error) {
+func (s *lockedStore) ReadIntoClass(key string, dst []byte, class nvme.Class) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.m.Get(key)
-}
-
-func (s *lockedStore) ReadInto(key string, dst []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.ReadInto(key, dst)
+	return s.m.ReadIntoClass(key, dst, class)
 }
 
 func TestScheduleModeParse(t *testing.T) {

@@ -43,7 +43,7 @@ func SSDBandwidth(a *nvme.Array, objBytes, rounds int) (read, write units.BytesP
 
 	start := time.Now()
 	for i := 0; i < rounds; i++ {
-		if err := a.Put(fmt.Sprintf("profile/bw/%d", i), buf); err != nil {
+		if err := a.PutClass(fmt.Sprintf("profile/bw/%d", i), buf, nvme.ClassWriteback); err != nil {
 			return 0, 0, fmt.Errorf("profile: write benchmark: %w", err)
 		}
 	}
@@ -51,7 +51,7 @@ func SSDBandwidth(a *nvme.Array, objBytes, rounds int) (read, write units.BytesP
 
 	start = time.Now()
 	for i := 0; i < rounds; i++ {
-		if err := a.ReadInto(fmt.Sprintf("profile/bw/%d", i), buf); err != nil {
+		if err := a.ReadIntoClass(fmt.Sprintf("profile/bw/%d", i), buf, nvme.ClassCriticalFetch); err != nil {
 			return 0, 0, fmt.Errorf("profile: read benchmark: %w", err)
 		}
 	}

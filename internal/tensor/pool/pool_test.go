@@ -238,7 +238,11 @@ func TestSegmentedRunEveryChunkOnce(t *testing.T) {
 // submitter must walk all segments itself, and those cross-segment claims
 // show up in StolenChunks.
 func TestSubmitterDrainsAllSegments(t *testing.T) {
-	p := New(4)
+	// A four-participant limit with no worker goroutines: nothing consumes
+	// the job channel, so the saturation below holds on any core count
+	// (live workers would drain it concurrently and join the real job).
+	p := New(1)
+	p.limit.Store(4)
 	p.ResetStats()
 
 	// Saturate the job channel with an already-finished job so Run's
