@@ -15,6 +15,17 @@ race:
 test-nosimd:
 	RATEL_NOSIMD=1 go test -count=1 ./internal/tensor/... ./internal/nn ./internal/opt ./internal/engine
 
+# Core-count pass: the bit-identity and equivalence tests, and the worker
+# pool's stats accounting, at GOMAXPROCS 1, 2 and 4 — exactness must not
+# depend on how many cores the kernels and the optimizer worker get. The
+# steady-state allocation pins stay out until parallel dispatch is
+# allocation-free (ROADMAP.md, "make the data path honest about core
+# count"): today they hold at one core only.
+PROCS_TESTS = TestNoStalenessAcrossGradModes|TestReadinessBitIdenticalMatrix|TestSchedBitIdentityMatrix|TestDataParallelMatchesAccumulation|TestEntryPointEquivalence|TestPrefetcherBitIdentity|TestAsyncApplierMatchesSync|TestStatsCountChunks
+.PHONY: test-procs
+test-procs:
+	go test -count=1 -cpu 1,2,4 -run '^($(PROCS_TESTS))$$' ./internal/engine ./internal/opt ./internal/tensor/pool
+
 # Static analysis over the whole module.
 .PHONY: vet
 vet:
@@ -52,11 +63,11 @@ perfbench:
 	cd perfbench && go vet ./... && go test ./...
 
 # Tier-2 umbrella: static analysis + repo analyzers + race detector +
-# portable-fallback pass + benchmark-harness build and tests +
+# portable-fallback pass + core-count pass + benchmark-harness build and tests +
 # one-iteration benchmark smoke (benchmarks must at least run) +
 # snapshot-integrity gate.
 .PHONY: check
-check: vet lint suppress-gate race test-nosimd perfbench bench-smoke bench-gate
+check: vet lint suppress-gate race test-nosimd test-procs perfbench bench-smoke bench-gate
 
 # Snapshot-integrity gate: every committed BENCH_*.json must parse and
 # self-diff clean at zero tolerance, so the diff tool and the snapshot

@@ -25,8 +25,8 @@ func NewDataParallel(cfg Config, n int) (*DataParallel, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("engine: need at least one replica, got %d", n)
 	}
-	if cfg.DelayedUpdate {
-		return nil, fmt.Errorf("engine: data parallelism with delayed update is unsupported")
+	if err := checkAveraging(cfg, "data parallelism"); err != nil {
+		return nil, err
 	}
 	dp := &DataParallel{}
 	for i := 0; i < n; i++ {
@@ -62,31 +62,29 @@ func (dp *DataParallel) Close() error {
 
 // TrainStep runs one data-parallel iteration over one shard per replica.
 // The math is identical to gradient accumulation over the same shards: the
-// all-reduce averages the per-shard gradients before a single synchronous
-// optimizer pass.
+// all-reduce sums the per-shard gradients, and the owner's optimizer
+// handoff averages and consumes them exactly as TrainStepAccum's last
+// micro-batch does.
 func (dp *DataParallel) TrainStep(shards []Batch) (float64, error) {
 	n := len(dp.replicas)
 	if len(shards) != n {
 		return 0, fmt.Errorf("engine: %d shards for %d replicas", len(shards), n)
 	}
 	owner := dp.replicas[0]
-	groups := make([][]nn.ParamGroup, n)
-	for i, e := range dp.replicas {
+	for _, e := range dp.replicas {
 		e.model.ZeroGrads()
-		groups[i] = e.model.ParamGroups()
 	}
 
 	// Concurrent forward/backward on every replica.
 	losses := make([]float64, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	noop := func(nn.ParamGroup) error { return nil }
-	for i := range dp.replicas {
+	for i, e := range dp.replicas {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			losses[i], _, _, errs[i] = dp.replicas[i].runBatch(shards[i].Tokens, shards[i].Targets, groups[i], noop)
-		}(i)
+			losses[i], _, _, errs[i] = e.runBatch(shards[i].Tokens, shards[i].Targets, e.groups, noSubmit)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -95,36 +93,40 @@ func (dp *DataParallel) TrainStep(shards []Batch) (float64, error) {
 		}
 	}
 
-	// All-reduce: sum every replica's gradients into replica 0, then scale
-	// by 1/n — the ring all-reduce's arithmetic, serialized for
-	// reproducibility (replica order is fixed).
-	for gi := range groups[0] {
-		for pi := range groups[0][gi].Params {
-			dst := groups[0][gi].Params[pi].G
-			for r := 1; r < n; r++ {
-				src := groups[r][gi].Params[pi].G
-				for k := range dst.Data {
-					dst.Data[k] += src.Data[k]
+	// All-reduce: sum every replica's gradients into replica 0 — the ring
+	// all-reduce's arithmetic, serialized for reproducibility (replica order
+	// is fixed). The handoff applies the 1/n average.
+	for gi, g := range owner.groups {
+		for pi, p := range g.Params {
+			for _, r := range dp.replicas[1:] {
+				src := r.groups[gi].Params[pi].G
+				for k := range p.G.Data {
+					p.G.Data[k] += src.Data[k]
 				}
 			}
-			dst.Scale(1 / float32(n))
 		}
 	}
 
-	// One synchronous optimizer pass over the owner's states, in
+	// One optimizer step over the owner's states, each group handed off in
 	// gradient-arrival order.
-	owner.beginStep()
-	for gi := len(groups[0]) - 1; gi >= 0; gi-- {
-		if err := owner.optimizer.UpdateGroup(groups[0][gi]); err != nil {
-			return 0, err
+	if err := owner.beginStep(); err != nil {
+		return 0, err
+	}
+	h := owner.startHandoff(n)
+	for gi := len(owner.groups) - 1; gi >= 0; gi-- {
+		if err := h.submit(owner.groups[gi]); err != nil {
+			return 0, h.abort(err)
 		}
+	}
+	if err := h.finish(); err != nil {
+		return 0, err
 	}
 
 	// Broadcast the fresh fp16 parameters to the other replicas.
-	for r := 1; r < n; r++ {
-		for gi := range groups[0] {
-			for pi := range groups[0][gi].Params {
-				copy(groups[r][gi].Params[pi].W.Data, groups[0][gi].Params[pi].W.Data)
+	for _, r := range dp.replicas[1:] {
+		for gi, g := range owner.groups {
+			for pi, p := range g.Params {
+				copy(r.groups[gi].Params[pi].W.Data, p.W.Data)
 			}
 		}
 	}

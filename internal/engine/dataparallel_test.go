@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ratel/internal/agoffload"
+	"ratel/internal/opt"
 )
 
 func TestDataParallelTrains(t *testing.T) {
@@ -130,6 +131,17 @@ func TestDataParallelErrors(t *testing.T) {
 	if _, err := NewDataParallel(Config{Model: miniConfig(), DelayedUpdate: true}, 2); err == nil {
 		t.Error("delayed update accepted")
 	}
+	// DataParallel averages like gradient accumulation, so it refuses what
+	// accumulation refuses: under dynamic loss scaling an overflowing step
+	// would otherwise be applied, and an async schedule silently ignored.
+	if _, err := NewDataParallel(Config{Model: miniConfig(), GradMode: agoffload.Serialized,
+		LossScale: 1 << 24, DynamicLossScale: true}, 2); err == nil {
+		t.Error("dynamic loss scaling accepted")
+	}
+	if _, err := NewDataParallel(Config{Model: miniConfig(), GradMode: agoffload.Optimized,
+		OptSchedule: opt.ScheduleAsync, AsyncTopK: 1}, 2); err == nil {
+		t.Error("async optimizer scheduling accepted")
+	}
 	dp, err := NewDataParallel(Config{Model: miniConfig()}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -138,5 +150,76 @@ func TestDataParallelErrors(t *testing.T) {
 	t1, g1 := data(miniConfig(), 1)
 	if _, err := dp.TrainStep([]Batch{{t1, g1}}); err == nil {
 		t.Error("shard/replica count mismatch accepted")
+	}
+}
+
+// TestEntryPointEquivalence ties the three ways to run an optimizer step
+// together: for every gradient mode and both exact optimizer schedules,
+// TrainStep(b), TrainStepAccum of the single batch b and a one-replica
+// DataParallel step over b leave bit-identical fp16 weights and fp32
+// masters — they share one optimizer handoff, and averaging over one batch
+// is no pass at all.
+func TestEntryPointEquivalence(t *testing.T) {
+	const steps = 3
+	for _, mode := range []agoffload.Mode{agoffload.Serialized, agoffload.Naive, agoffload.Optimized} {
+		for _, sched := range []opt.ScheduleMode{opt.ScheduleSync, opt.ScheduleReadiness} {
+			t.Run(mode.String()+"/"+sched.String(), func(t *testing.T) {
+				cfg := Config{Model: miniConfig(), GradMode: mode, OptSchedule: sched, Devices: 2,
+					Swap: map[int]Tier{0: SwapSSD, 1: SwapHost}}
+				step := newEngine(t, cfg)
+				accum := newEngine(t, cfg)
+				dp, err := NewDataParallel(cfg, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer dp.Close()
+				for s := 0; s < steps; s++ {
+					tokens, targets := data(cfg.Model, int64(s))
+					b := Batch{Tokens: tokens, Targets: targets}
+					l1, err := step.TrainStep(tokens, targets)
+					if err != nil {
+						t.Fatal(err)
+					}
+					l2, err := accum.TrainStepAccum([]Batch{b})
+					if err != nil {
+						t.Fatal(err)
+					}
+					l3, err := dp.TrainStep([]Batch{b})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if l1 != l2 || l1 != l3 {
+						t.Fatalf("step %d loss: TrainStep %v, TrainStepAccum %v, DataParallel %v", s, l1, l2, l3)
+					}
+				}
+				want := paramsSnapshot(step.Model())
+				for name, e := range map[string]*Engine{"TrainStepAccum": accum, "DataParallel": dp.replicas[0]} {
+					got := paramsSnapshot(e.Model())
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s: P16 parameter %d = %v, TrainStep %v", name, i, got[i], want[i])
+						}
+					}
+					for _, g := range step.groups {
+						wm, err := step.optimizer.MasterWeights(g.Name, g.NumParams())
+						if err != nil {
+							t.Fatal(err)
+						}
+						gm, err := e.optimizer.MasterWeights(g.Name, g.NumParams())
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i := range wm {
+							if gm[i] != wm[i] {
+								t.Fatalf("%s: %s master %d = %v, TrainStep %v", name, g.Name, i, gm[i], wm[i])
+							}
+						}
+					}
+					if got := e.optimizer.Step(); got != steps {
+						t.Errorf("%s: optimizer step %d, want %d", name, got, steps)
+					}
+				}
+			})
+		}
 	}
 }

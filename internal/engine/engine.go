@@ -228,12 +228,9 @@ type Engine struct {
 	pipe      *offloadPipeline
 	fetchCh   []chan error
 	fetchLive []bool
-	// stepChs are the per-submission optimizer result channels, one per
-	// param group, reused every step (each is drained before the step ends,
-	// so reuse never observes a stale value). pendingScr is the matching
-	// slice scratch. Engine steps are serial, so neither needs locking.
-	stepChs    []chan error
-	pendingScr []chan error
+	// ho is the optimizer handoff every step drives (see handoff). Engine
+	// steps are serial, so it needs no locking.
+	ho handoff
 
 	// Optimizer scheduling (see opt/schedule_async.go). pref is the
 	// readiness-ordered state prefetcher (ScheduleReadiness, nil otherwise);
@@ -548,10 +545,162 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// gradJob hands one parameter group's gradients to the optimizer pipeline.
-type gradJob struct {
-	group nn.ParamGroup
-	errCh chan error
+// handoff is one optimizer step's gradient handoff (active gradient
+// offloading, §IV-C): submit receives each group the moment its gradient
+// is complete and dispatches it by GradMode — inline (Naive), to a worker
+// overlapping the rest of backward (Optimized), or onto a list applied
+// after backward (Serialized). finish joins the step's updates and abort
+// unwinds a failed step. Every entry point — TrainStep, TrainStepAccum and
+// DataParallel.TrainStep — drives its optimizer through the engine's one
+// handoff, reused every step (steps are serial).
+type handoff struct {
+	e *Engine
+	// scale averages the gradient over the step's micro-batches or replicas
+	// at submit; 1 (a single batch) skips the pass.
+	scale float32
+	// jobs is the Optimized worker's queue (nil in the other modes); the
+	// worker keeps the first update error in workErr until join.
+	jobs     chan nn.ParamGroup
+	worker   sync.WaitGroup
+	workErr  error
+	deferred []nn.ParamGroup
+}
+
+// startHandoff opens the step's handoff for gradients averaged over n
+// batches, starting the Optimized worker.
+func (e *Engine) startHandoff(n int) *handoff {
+	h := &e.ho
+	h.e = e
+	h.scale = 1
+	if n > 1 {
+		h.scale = 1 / float32(n)
+	}
+	h.deferred = h.deferred[:0]
+	if e.cfg.GradMode == agoffload.Optimized {
+		h.jobs = make(chan nn.ParamGroup, len(e.groups))
+		h.worker.Add(1)
+		go h.work()
+	}
+	return h
+}
+
+// work is the Optimized worker: group updates run here, overlapping the
+// remaining backward computation.
+func (h *handoff) work() {
+	defer h.worker.Done()
+	for g := range h.jobs {
+		if err := h.e.updateGroup(g); err != nil && h.workErr == nil {
+			h.workErr = err
+		}
+	}
+}
+
+// submit hands one group whose gradient is complete to the optimizer.
+func (h *handoff) submit(g nn.ParamGroup) error {
+	e := h.e
+	if e.cfg.DelayedUpdate {
+		return nil // handled after backward, one step late
+	}
+	if h.scale != 1 {
+		for _, p := range g.Params {
+			p.G.Scale(h.scale)
+		}
+	}
+	if e.applier != nil {
+		if handled, err := e.maybeDefer(g); handled || err != nil {
+			return err
+		}
+	}
+	e.launchPrefetch(g)
+	switch e.cfg.GradMode {
+	case agoffload.Optimized:
+		h.jobs <- g
+		return nil
+	case agoffload.Naive:
+		return e.updateGroup(g)
+	default:
+		h.deferred = append(h.deferred, g)
+		return nil
+	}
+}
+
+// join closes the Optimized worker's queue, waits out every submitted
+// update and returns the first failed one's error.
+func (h *handoff) join() error {
+	if h.jobs == nil {
+		return nil
+	}
+	close(h.jobs)
+	h.worker.Wait()
+	h.jobs = nil
+	err := h.workErr
+	h.workErr = nil
+	return err
+}
+
+// finish completes a step whose gradients all arrived: it joins the
+// in-flight updates, then applies the Serialized list — or, under dynamic
+// loss scaling, skips the whole update when a gradient overflowed — and
+// reclaims any readiness prefetch left unconsumed.
+func (h *handoff) finish() error {
+	err := h.join()
+	if err == nil {
+		err = h.applyDeferred()
+	}
+	if derr := h.e.pref.DrainLive(); derr != nil && err == nil {
+		err = derr
+	}
+	return err
+}
+
+// applyDeferred runs the Serialized updates after backward.
+func (h *handoff) applyDeferred() error {
+	e := h.e
+	// Dynamic loss scaling: every gradient is resident now (serialized
+	// mode); skip the whole update on overflow.
+	if e.scaler != nil && gradsOverflow(h.deferred) {
+		e.scaler.OnOverflow()
+		if err := e.optimizer.CancelStep(); err != nil {
+			return err
+		}
+		e.mu.Lock()
+		e.stats.SkippedSteps++
+		e.mu.Unlock()
+		return nil
+	}
+	for _, g := range h.deferred {
+		if err := e.updateGroup(g); err != nil {
+			return err
+		}
+	}
+	if e.scaler != nil {
+		e.scaler.OnGoodStep()
+	}
+	return nil
+}
+
+// abort unwinds a step that failed with err: the Serialized list is
+// dropped (no partial update), the already-submitted Optimized updates and
+// any abandoned readiness prefetches are drained, and — under dynamic loss
+// scaling, where nothing has been applied yet — the step's BeginStep is
+// cancelled as an overflow skip would. A failed step is never a good step
+// for the loss scaler.
+func (h *handoff) abort(err error) error {
+	e := h.e
+	h.deferred = h.deferred[:0]
+	ferr := h.join()
+	if derr := e.pref.DrainLive(); derr != nil && ferr == nil {
+		ferr = derr
+	}
+	if e.scaler != nil && !e.cfg.DelayedUpdate {
+		if cerr := e.optimizer.CancelStep(); cerr != nil && ferr == nil {
+			ferr = cerr
+		}
+	}
+	if ferr != nil {
+		return fmt.Errorf("%w (and optimizer drain failed: %v)", err, ferr)
+	}
+	return err
 }
 
 // TrainStep runs one synchronous training iteration and returns the loss.
@@ -559,148 +708,7 @@ type gradJob struct {
 // active gradient offloading changes when updates run, not what they
 // compute (no staleness, §IV-C).
 func (e *Engine) TrainStep(tokens, targets [][]int) (float64, error) {
-	m := e.model
-	m.ZeroGrads()
-	e.pipe.resetStepCounters()
-	e.resetOptSchedCounters()
-	if !e.cfg.DelayedUpdate {
-		if err := e.beginStep(); err != nil {
-			return 0, err
-		}
-	}
-	stepStart := time.Now()
-	stepSp := e.tracer.StartSpan(obs.LaneStep, labelStep)
-	defer stepSp.End()
-
-	groups := e.groups // embedding, block0..N-1, head
-
-	// Optimizer pipeline for the Optimized mode: handlers run on a worker
-	// goroutine, overlapping the remaining backward computation. Naive
-	// runs handlers inline (strictly serialized per tensor); Serialized
-	// defers them all past backward.
-	var (
-		jobs     chan gradJob
-		pending  []chan error
-		deferred []nn.ParamGroup
-		workerWG sync.WaitGroup
-	)
-	if e.cfg.GradMode == agoffload.Optimized {
-		jobs = make(chan gradJob, len(groups))
-		workerWG.Add(1)
-		go func() {
-			defer workerWG.Done()
-			for j := range jobs {
-				j.errCh <- e.updateGroup(j.group)
-			}
-		}()
-	}
-	pending = e.pendingScr[:0]
-	defer func() { e.pendingScr = pending[:0] }()
-	submit := func(g nn.ParamGroup) error {
-		if e.cfg.DelayedUpdate {
-			return nil // handled after backward, one step late
-		}
-		if e.applier != nil {
-			if handled, err := e.maybeDefer(g); handled || err != nil {
-				return err
-			}
-		}
-		e.launchPrefetch(g)
-		switch e.cfg.GradMode {
-		case agoffload.Optimized:
-			errCh := e.stepCh(len(pending))
-			jobs <- gradJob{group: g, errCh: errCh}
-			pending = append(pending, errCh)
-			return nil
-		case agoffload.Naive:
-			return e.updateGroup(g)
-		default:
-			deferred = append(deferred, g)
-			return nil
-		}
-	}
-	finish := func() error {
-		if jobs != nil {
-			close(jobs)
-			workerWG.Wait()
-			for _, ch := range pending {
-				if err := <-ch; err != nil {
-					return err
-				}
-			}
-		}
-		// Dynamic loss scaling: every gradient is resident now (serialized
-		// mode); skip the whole update on overflow.
-		if e.scaler != nil && gradsOverflow(deferred) {
-			e.scaler.OnOverflow()
-			if err := e.optimizer.CancelStep(); err != nil {
-				return err
-			}
-			e.mu.Lock()
-			e.stats.SkippedSteps++
-			e.mu.Unlock()
-			deferred = nil
-			return nil
-		}
-		for _, g := range deferred {
-			if err := e.updateGroup(g); err != nil {
-				return err
-			}
-		}
-		if e.scaler != nil {
-			e.scaler.OnGoodStep()
-		}
-		return nil
-	}
-	fail := func(err error) (float64, error) {
-		// Don't apply a partial serialized update for a failed step; the
-		// already-submitted Optimized handlers are drained either way, and
-		// so are any abandoned readiness prefetches.
-		deferred = nil
-		ferr := finish()
-		if derr := e.pref.DrainLive(); derr != nil && ferr == nil {
-			ferr = derr
-		}
-		if ferr != nil {
-			return 0, fmt.Errorf("%w (and optimizer drain failed: %v)", err, ferr)
-		}
-		return 0, err
-	}
-
-	loss, fwdDur, bwdDur, err := e.runBatch(tokens, targets, groups, submit)
-	if err != nil {
-		return fail(err)
-	}
-
-	drainStart := time.Now()
-	ferr := finish()
-	if derr := e.pref.DrainLive(); derr != nil && ferr == nil {
-		ferr = derr
-	}
-	if ferr != nil {
-		return 0, ferr
-	}
-	if e.cfg.DelayedUpdate {
-		if err := e.applyDelayed(groups); err != nil {
-			return 0, err
-		}
-	}
-	e.refreshPartition()
-	drain := time.Since(drainStart)
-	e.mu.Lock()
-	e.stats.Steps++
-	e.mu.Unlock()
-	e.noteStep(fwdDur, bwdDur, drain, time.Since(stepStart), countTokens(tokens))
-	return loss, nil
-}
-
-// stepCh returns the i'th reusable optimizer result channel, growing the
-// set on first use.
-func (e *Engine) stepCh(i int) chan error {
-	for len(e.stepChs) <= i {
-		e.stepChs = append(e.stepChs, make(chan error, 1))
-	}
-	return e.stepChs[i]
+	return e.step([]Batch{{Tokens: tokens, Targets: targets}})
 }
 
 // countTokens sums the sequence lengths of one batch.
@@ -722,40 +730,63 @@ type Batch struct {
 // are averaged, and each group's mean gradient is consumed by the active
 // gradient offloading pipeline as it completes during the *last*
 // micro-batch's backward — the overlap of §IV-C is preserved. The returned
-// loss is the micro-batch mean. Incompatible with DelayedUpdate.
+// loss is the micro-batch mean. Incompatible with DelayedUpdate, dynamic
+// loss scaling and async optimizer scheduling.
 func (e *Engine) TrainStepAccum(micro []Batch) (float64, error) {
 	if len(micro) == 0 {
 		return 0, fmt.Errorf("engine: no micro-batches")
 	}
-	if e.cfg.DelayedUpdate {
-		return 0, fmt.Errorf("engine: gradient accumulation with delayed update is unsupported")
+	if err := checkAveraging(e.cfg, "gradient accumulation"); err != nil {
+		return 0, err
 	}
-	if e.scaler != nil {
-		return 0, fmt.Errorf("engine: gradient accumulation with dynamic loss scaling is unsupported (use a static LossScale)")
+	return e.step(micro)
+}
+
+// checkAveraging refuses the configurations under which one optimizer step
+// cannot consume gradients averaged over several batches — gradient
+// accumulation's micro-batches or data parallelism's shards. what names
+// the caller for the error.
+func checkAveraging(cfg Config, what string) error {
+	switch {
+	case cfg.DelayedUpdate:
+		return fmt.Errorf("engine: %s with delayed update is unsupported", what)
+	case cfg.DynamicLossScale:
+		return fmt.Errorf("engine: %s with dynamic loss scaling is unsupported (use a static LossScale)", what)
+	case cfg.OptSchedule == opt.ScheduleAsync:
+		return fmt.Errorf("engine: %s with async optimizer scheduling is unsupported", what)
 	}
-	if e.applier != nil {
-		return 0, fmt.Errorf("engine: gradient accumulation with async optimizer scheduling is unsupported")
-	}
-	m := e.model
-	m.ZeroGrads()
+	return nil
+}
+
+// step runs one optimizer step over the micro-batches: every batch's
+// forward/backward accumulates gradients, and the last one's backward
+// hands each completed group to the optimizer (averaged over the batches).
+// The returned loss is the batch mean.
+func (e *Engine) step(micro []Batch) (float64, error) {
+	e.model.ZeroGrads()
 	e.pipe.resetStepCounters()
 	e.resetOptSchedCounters()
-	if err := e.beginStep(); err != nil {
-		return 0, err
+	if !e.cfg.DelayedUpdate {
+		if err := e.beginStep(); err != nil {
+			return 0, err
+		}
 	}
 	stepStart := time.Now()
 	stepSp := e.tracer.StartSpan(obs.LaneStep, labelStep)
 	defer stepSp.End()
-	groups := e.groups
 
+	h := e.startHandoff(len(micro))
 	var totalLoss float64
 	var fwdTotal, bwdTotal time.Duration
 	tokenCount := 0
-	noop := func(nn.ParamGroup) error { return nil }
-	for _, b := range micro[:len(micro)-1] {
-		loss, fwdDur, bwdDur, err := e.runBatch(b.Tokens, b.Targets, groups, noop)
+	for i, b := range micro {
+		submit := noSubmit
+		if i == len(micro)-1 {
+			submit = h.submit
+		}
+		loss, fwdDur, bwdDur, err := e.runBatch(b.Tokens, b.Targets, e.groups, submit)
 		if err != nil {
-			return 0, err
+			return 0, h.abort(err)
 		}
 		totalLoss += loss
 		fwdTotal += fwdDur
@@ -763,87 +794,16 @@ func (e *Engine) TrainStepAccum(micro []Batch) (float64, error) {
 		tokenCount += countTokens(b.Tokens)
 	}
 
-	// Final micro-batch: hand each completed group to the optimizer with
-	// its gradients averaged over the micro-batches.
-	var (
-		jobs     chan gradJob
-		pending  []chan error
-		deferred []nn.ParamGroup
-		workerWG sync.WaitGroup
-	)
-	if e.cfg.GradMode == agoffload.Optimized {
-		jobs = make(chan gradJob, len(groups))
-		workerWG.Add(1)
-		go func() {
-			defer workerWG.Done()
-			for j := range jobs {
-				j.errCh <- e.updateGroup(j.group)
-			}
-		}()
-	}
-	pending = e.pendingScr[:0]
-	defer func() { e.pendingScr = pending[:0] }()
-	scale := float32(1) / float32(len(micro))
-	submit := func(g nn.ParamGroup) error {
-		for _, p := range g.Params {
-			p.G.Scale(scale)
-		}
-		e.launchPrefetch(g)
-		switch e.cfg.GradMode {
-		case agoffload.Optimized:
-			errCh := e.stepCh(len(pending))
-			jobs <- gradJob{group: g, errCh: errCh}
-			pending = append(pending, errCh)
-			return nil
-		case agoffload.Naive:
-			return e.updateGroup(g)
-		default:
-			deferred = append(deferred, g)
-			return nil
-		}
-	}
-	finish := func() error {
-		if jobs != nil {
-			close(jobs)
-			workerWG.Wait()
-			for _, ch := range pending {
-				if err := <-ch; err != nil {
-					return err
-				}
-			}
-		}
-		for _, g := range deferred {
-			if err := e.updateGroup(g); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	last := micro[len(micro)-1]
-	loss, fwdDur, bwdDur, err := e.runBatch(last.Tokens, last.Targets, groups, submit)
-	if err != nil {
-		ferr := finish()
-		if derr := e.pref.DrainLive(); derr != nil && ferr == nil {
-			ferr = derr
-		}
-		if ferr != nil {
-			return 0, fmt.Errorf("%w (and optimizer drain failed: %v)", err, ferr)
-		}
+	drainStart := time.Now()
+	if err := h.finish(); err != nil {
 		return 0, err
 	}
-	totalLoss += loss
-	fwdTotal += fwdDur
-	bwdTotal += bwdDur
-	tokenCount += countTokens(last.Tokens)
-	drainStart := time.Now()
-	ferr := finish()
-	if derr := e.pref.DrainLive(); derr != nil && ferr == nil {
-		ferr = derr
+	if e.cfg.DelayedUpdate {
+		if err := e.applyDelayed(); err != nil {
+			return 0, err
+		}
 	}
-	if ferr != nil {
-		return 0, ferr
-	}
+	e.refreshPartition()
 	drain := time.Since(drainStart)
 	e.mu.Lock()
 	e.stats.Steps++
@@ -851,6 +811,10 @@ func (e *Engine) TrainStepAccum(micro []Batch) (float64, error) {
 	e.noteStep(fwdTotal, bwdTotal, drain, time.Since(stepStart), tokenCount)
 	return totalLoss / float64(len(micro)), nil
 }
+
+// noSubmit is runBatch's submit for batches that only accumulate
+// gradients.
+func noSubmit(nn.ParamGroup) error { return nil }
 
 // beginStep advances the optimizer, applies the learning-rate schedule and
 // the current gradient unscale factor. Under async scheduling it also runs
@@ -1306,32 +1270,26 @@ func (e *Engine) runBatch(tokens, targets [][]int, groups []nn.ParamGroup, submi
 // iteration's pending gradients, then stash this iteration's for the next
 // call. The current iteration therefore computed with parameters one update
 // behind — the staleness footnote 4 warns about.
-func (e *Engine) applyDelayed(groups []nn.ParamGroup) error {
-	current := make(map[string][]float32, len(groups))
-	for _, g := range groups {
+func (e *Engine) applyDelayed() error {
+	current := make(map[string][]float32, len(e.groups))
+	for _, g := range e.groups {
 		flat := make([]float32, 0, g.NumParams())
 		for _, p := range g.Params {
 			flat = append(flat, p.G.Data...)
 		}
 		current[g.Name] = flat
 	}
-	if e.prevGrads != nil {
-		e.optimizer.BeginStep()
-		for _, g := range groups {
-			installGrads(g, e.prevGrads[g.Name])
-			if err := e.optimizer.UpdateGroup(g); err != nil {
-				return err
-			}
-		}
+	if err := e.applyPrevGrads(); err != nil {
+		return err
 	}
 	e.prevGrads = current
 	return nil
 }
 
-// FlushDelayed applies the pending gradients of DelayedUpdate mode (e.g. at
-// the end of training). A no-op otherwise.
-func (e *Engine) FlushDelayed() error {
-	if !e.cfg.DelayedUpdate || e.prevGrads == nil {
+// applyPrevGrads applies the stashed gradients of DelayedUpdate mode as one
+// optimizer step; a no-op when none are pending.
+func (e *Engine) applyPrevGrads() error {
+	if e.prevGrads == nil {
 		return nil
 	}
 	e.optimizer.BeginStep()
@@ -1340,6 +1298,18 @@ func (e *Engine) FlushDelayed() error {
 		if err := e.optimizer.UpdateGroup(g); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// FlushDelayed applies the pending gradients of DelayedUpdate mode (e.g. at
+// the end of training). A no-op otherwise.
+func (e *Engine) FlushDelayed() error {
+	if !e.cfg.DelayedUpdate {
+		return nil
+	}
+	if err := e.applyPrevGrads(); err != nil {
+		return err
 	}
 	e.prevGrads = nil
 	return nil

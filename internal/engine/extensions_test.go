@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -448,6 +449,35 @@ func TestDynamicLossScalingRecovers(t *testing.T) {
 				t.Fatal("NaN parameter after recovery")
 			}
 		}
+	}
+}
+
+// TestFailedStepIsNotAGoodStep: a step that fails applies no update, so
+// under dynamic loss scaling it neither counts toward the scaler's growth
+// interval nor keeps its optimizer step — 100 failed steps leave both the
+// loss scale and the step counter where they started.
+func TestFailedStepIsNotAGoodStep(t *testing.T) {
+	e := newEngine(t, Config{
+		GradMode:         agoffload.Serialized,
+		LossScale:        1024,
+		DynamicLossScale: true,
+		Swap:             map[int]Tier{0: SwapSSD, 1: SwapSSD, 2: SwapSSD},
+	})
+	boom := errors.New("media failure")
+	for dev := 0; dev < e.cfg.Devices; dev++ {
+		e.Array().InjectFault(dev, boom)
+	}
+	tokens, targets := data(e.cfg.Model, 1)
+	for s := 0; s < 100; s++ {
+		if _, err := e.TrainStep(tokens, targets); !errors.Is(err, boom) {
+			t.Fatalf("step %d: err = %v, want the injected media failure", s, err)
+		}
+	}
+	if got := e.LossScale(); got != 1024 {
+		t.Errorf("loss scale after 100 failed steps = %v, want 1024", got)
+	}
+	if got := e.optimizer.Step(); got != 0 {
+		t.Errorf("optimizer step after 100 failed steps = %d, want 0", got)
 	}
 }
 

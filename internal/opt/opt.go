@@ -144,19 +144,35 @@ type OutOfCoreAdam struct {
 	adamLabels map[string]string // group -> "group/opt-adam", precomputed
 	keys       map[string]groupKeys
 
-	// scr is the UpdateGroup scratch: state and gradient staging plus the
-	// byte codec buffer, sized to the largest group seen and reused for the
-	// optimizer's lifetime. scrMu serializes UpdateGroup — the engine's
-	// pipeline runs group updates on one worker, so the lock is uncontended
-	// and exists only to keep concurrent misuse safe.
+	// scr and grad are the UpdateGroup scratch: state and gradient staging
+	// plus the byte codec buffer, sized to the largest group seen and reused
+	// for the optimizer's lifetime. scrMu serializes UpdateGroup — the
+	// engine's pipeline runs group updates on one worker, so the lock is
+	// uncontended and exists only to keep concurrent misuse safe.
 	scrMu sync.Mutex
-	scr   struct {
-		p32, m, v, grad []float32
-		enc             []byte
-	}
+	scr   stateScratch
+	grad  []float32
 
 	kernelParams atomic.Int64 // params the Adam kernel has updated
 	kernelNanos  atomic.Int64 // wall-clock spent inside the Adam kernel
+}
+
+// stateScratch is one updater's working set for a group's state round-trip:
+// the decoded fp32 masters and moments and the byte codec buffer they stream
+// through. The synchronous optimizer and the async applier each own one, so
+// a background apply never contends with an in-step update.
+type stateScratch struct {
+	p32, m, v []float32
+	enc       []byte
+}
+
+// encBuf returns the codec buffer sized for n fp32 values, growing it when
+// the group is larger than any seen before.
+func (s *stateScratch) encBuf(n int) []byte {
+	if cap(s.enc) < 4*n {
+		s.enc = make([]byte, 4*n)
+	}
+	return s.enc[:4*n]
 }
 
 // groupKeys are a group's precomputed store keys (the hot path must not
@@ -263,10 +279,7 @@ func (o *OutOfCoreAdam) InitGroup(g nn.ParamGroup) error {
 	for _, p := range g.Params {
 		off += copy(flat[off:], p.W.Data)
 	}
-	if cap(o.scr.enc) < 4*n {
-		o.scr.enc = make([]byte, 4*n)
-	}
-	buf := o.scr.enc[:4*n]
+	buf := o.scr.encBuf(n)
 	if err := o.saveFP32(buf, ks.p32, flat); err != nil {
 		return fmt.Errorf("opt: init %s: %w", g.Name, err)
 	}
@@ -324,99 +337,15 @@ func (o *OutOfCoreAdam) applyGroup(g nn.ParamGroup, wire *StateWire) error {
 	}
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	ks := o.groupKeysFor(g.Name)
 	n := g.NumParams()
-	p32 := scrF32(&o.scr.p32, n)
-	m := scrF32(&o.scr.m, n)
-	v := scrF32(&o.scr.v, n)
-	if cap(o.scr.enc) < 4*n {
-		o.scr.enc = make([]byte, 4*n)
-	}
-	buf := o.scr.enc[:4*n]
-	if wire != nil {
-		if err := decodeWire(wire.P32, p32, g.Name, "p32"); err != nil {
-			return err
-		}
-		if err := decodeWire(wire.M, m, g.Name, "m"); err != nil {
-			return err
-		}
-		if err := decodeWire(wire.V, v, g.Name, "v"); err != nil {
-			return err
-		}
-	} else {
-		if err := o.loadFP32Into(p32, buf, ks.p32, g.Name, "p32"); err != nil {
-			return err
-		}
-		if err := o.loadFP32Into(m, buf, ks.m, g.Name, "m"); err != nil {
-			return err
-		}
-		if err := o.loadFP32Into(v, buf, ks.v, g.Name, "v"); err != nil {
-			return err
-		}
-	}
-	// Three fp32 state tensors decoded from their wire form (P32, M, V).
-	o.flows.Add(obs.EdgeCodecDecode, obs.FlowOptState, int64(3*4*n))
-
-	inv := 1.0
-	if o.gradScale > 0 {
-		inv = 1 / o.gradScale
-	}
-	grad := scrF32(&o.scr.grad, n)
-	idx := 0
-	for _, p := range g.Params {
-		if inv == 1 {
-			// G16 boundary, unscaled: stage through the chunked fp16
-			// round kernel (vectorized where available, bit-identical to
-			// the scalar path per element).
-			if err := tensor.RoundFP16Into(grad[idx:idx+len(p.G.Data)], p.G.Data); err != nil {
-				return fmt.Errorf("opt: stage grad %s: %w", g.Name, err)
-			}
-			idx += len(p.G.Data)
-			continue
-		}
-		for _, gv := range p.G.Data {
-			// G16 boundary: gradients cross PCIe in fp16 (at loss-scaled
-			// magnitude), then unscale in fp32. The unscale multiply is
-			// float64 — a float32 vector multiply would change bits, so
-			// the scaled path stays scalar.
-			grad[idx] = float32(float64(tensor.RoundFP16(gv)) * inv)
-			idx++
-		}
-	}
-	// Gradients crossed the compute→host boundary in fp16 (G16).
-	o.flows.Add(obs.EdgeComputeHost, obs.FlowGrads, int64(2*n))
-	if o.clipNorm > 0 {
-		var sq float64
-		for _, gv := range grad {
-			sq += float64(gv) * float64(gv)
-		}
-		if norm := math.Sqrt(sq); norm > o.clipNorm {
-			scale := float32(o.clipNorm / norm)
-			for i := range grad {
-				grad[i] *= scale
-			}
-		}
-	}
-	sp := o.tracer.StartSpan(obs.LaneAdam, o.adamLabel(g.Name))
-	kernelStart := time.Now()
-	if err := AdamStep(o.cfg, o.step, p32, m, v, grad); err != nil {
-		sp.End()
-		return fmt.Errorf("opt: update %s: %w", g.Name, err)
-	}
-	o.kernelNanos.Add(time.Since(kernelStart).Nanoseconds())
-	o.kernelParams.Add(int64(n))
-	sp.End()
-	if err := o.saveFP32(buf, ks.p32, p32); err != nil {
+	grad := scrF32(&o.grad, n)
+	if err := o.stageGrad(grad, g); err != nil {
 		return err
 	}
-	if err := o.saveFP32(buf, ks.m, m); err != nil {
+	p32, err := o.roundTrip(&o.scr, g.Name, o.groupKeysFor(g.Name), o.adamLabel(g.Name), wire, grad, o.step, o.cfg)
+	if err != nil {
 		return err
 	}
-	if err := o.saveFP32(buf, ks.v, v); err != nil {
-		return err
-	}
-	// Three fp32 state tensors re-encoded to their wire form.
-	o.flows.Add(obs.EdgeCodecEncode, obs.FlowOptState, int64(3*4*n))
 	// Install P16 = fp16(P32) working copies through the chunked round
 	// kernel (bit-identical to the scalar loop per element).
 	off := 0
@@ -429,6 +358,112 @@ func (o *OutOfCoreAdam) applyGroup(g nn.ParamGroup, wire *StateWire) error {
 	// Fresh fp16 working weights cross back to the compute tier.
 	o.flows.Add(obs.EdgeComputeHost, obs.FlowParams, int64(2*n))
 	return nil
+}
+
+// stageGrad carries g's gradient across the G16 boundary into dst
+// (g.NumParams() values): each value crosses PCIe in fp16 at loss-scaled
+// magnitude, is unscaled in fp32, and the group is clipped to the per-group
+// norm. The synchronous handler and the async stage both come through here,
+// so a deferred gradient is bit-identical to the one an in-step update
+// would have consumed.
+func (o *OutOfCoreAdam) stageGrad(dst []float32, g nn.ParamGroup) error {
+	inv := 1.0
+	if o.gradScale > 0 {
+		inv = 1 / o.gradScale
+	}
+	idx := 0
+	for _, p := range g.Params {
+		if inv == 1 {
+			// Unscaled: stage through the chunked fp16 round kernel
+			// (vectorized where available, bit-identical to the scalar path
+			// per element).
+			if err := tensor.RoundFP16Into(dst[idx:idx+len(p.G.Data)], p.G.Data); err != nil {
+				return fmt.Errorf("opt: stage grad %s: %w", g.Name, err)
+			}
+			idx += len(p.G.Data)
+			continue
+		}
+		for _, gv := range p.G.Data {
+			// The unscale multiply is float64 — a float32 vector multiply
+			// would change bits, so the scaled path stays scalar.
+			dst[idx] = float32(float64(tensor.RoundFP16(gv)) * inv)
+			idx++
+		}
+	}
+	// Gradients crossed the compute→host boundary in fp16 (G16).
+	o.flows.Add(obs.EdgeComputeHost, obs.FlowGrads, int64(2*len(dst)))
+	if o.clipNorm > 0 {
+		var sq float64
+		for _, gv := range dst {
+			sq += float64(gv) * float64(gv)
+		}
+		if norm := math.Sqrt(sq); norm > o.clipNorm {
+			scale := float32(o.clipNorm / norm)
+			for i := range dst {
+				dst[i] *= scale
+			}
+		}
+	}
+	return nil
+}
+
+// roundTrip runs one group's Adam update against the store through scr:
+// P32+OS32 are decoded from wire when the readiness prefetcher already read
+// them (nil loads them inline), AdamStep applies grad at step t with cfg
+// under a label span on obs.LaneAdam, and the updated state is written
+// back. It returns the new fp32 masters (scr's slice) for the caller to
+// install. The synchronous handler passes the optimizer's live step and
+// hyperparameters; the async applier passes the ones captured at stage time.
+func (o *OutOfCoreAdam) roundTrip(scr *stateScratch, name string, ks groupKeys, label string, wire *StateWire, grad []float32, t int, cfg AdamConfig) ([]float32, error) {
+	n := len(grad)
+	p32 := scrF32(&scr.p32, n)
+	m := scrF32(&scr.m, n)
+	v := scrF32(&scr.v, n)
+	buf := scr.encBuf(n)
+	if wire != nil {
+		if err := decodeWire(wire.P32, p32, name, "p32"); err != nil {
+			return nil, err
+		}
+		if err := decodeWire(wire.M, m, name, "m"); err != nil {
+			return nil, err
+		}
+		if err := decodeWire(wire.V, v, name, "v"); err != nil {
+			return nil, err
+		}
+	} else {
+		if err := o.loadFP32Into(p32, buf, ks.p32, name, "p32"); err != nil {
+			return nil, err
+		}
+		if err := o.loadFP32Into(m, buf, ks.m, name, "m"); err != nil {
+			return nil, err
+		}
+		if err := o.loadFP32Into(v, buf, ks.v, name, "v"); err != nil {
+			return nil, err
+		}
+	}
+	// Three fp32 state tensors decoded from their wire form (P32, M, V).
+	o.flows.Add(obs.EdgeCodecDecode, obs.FlowOptState, int64(3*4*n))
+	sp := o.tracer.StartSpan(obs.LaneAdam, label)
+	kernelStart := time.Now()
+	if err := AdamStep(cfg, t, p32, m, v, grad); err != nil {
+		sp.End()
+		return nil, fmt.Errorf("opt: update %s: %w", name, err)
+	}
+	o.kernelNanos.Add(time.Since(kernelStart).Nanoseconds())
+	o.kernelParams.Add(int64(n))
+	sp.End()
+	if err := o.saveFP32(buf, ks.p32, p32); err != nil {
+		return nil, err
+	}
+	if err := o.saveFP32(buf, ks.m, m); err != nil {
+		return nil, err
+	}
+	if err := o.saveFP32(buf, ks.v, v); err != nil {
+		return nil, err
+	}
+	// Three fp32 state tensors re-encoded to their wire form.
+	o.flows.Add(obs.EdgeCodecEncode, obs.FlowOptState, int64(3*4*n))
+	return p32, nil
 }
 
 // scrF32 returns a scratch slice of length n backed by *s, growing the
@@ -509,10 +544,7 @@ func (o *OutOfCoreAdam) ImportGroup(g nn.ParamGroup, st GroupState) error {
 	ks := o.groupKeysFor(g.Name)
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	if cap(o.scr.enc) < 4*n {
-		o.scr.enc = make([]byte, 4*n)
-	}
-	buf := o.scr.enc[:4*n]
+	buf := o.scr.encBuf(n)
 	if err := o.saveFP32(buf, ks.p32, st.P32); err != nil {
 		return fmt.Errorf("opt: import %s: %w", g.Name, err)
 	}
@@ -549,11 +581,7 @@ func (o *OutOfCoreAdam) loadFP32(group, kind string, n int) ([]float32, error) {
 	out := make([]float32, n)
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	if cap(o.scr.enc) < 4*n {
-		o.scr.enc = make([]byte, 4*n)
-	}
-	buf := o.scr.enc[:4*n]
-	if err := o.loadFP32Into(out, buf, o.key(group, kind), group, kind); err != nil {
+	if err := o.loadFP32Into(out, o.scr.encBuf(n), o.key(group, kind), group, kind); err != nil {
 		return nil, err
 	}
 	return out, nil

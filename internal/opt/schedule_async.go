@@ -21,9 +21,7 @@ package opt
 
 import (
 	"fmt"
-	"math"
 	"sync"
-	"time"
 
 	"ratel/internal/nn"
 	"ratel/internal/nvme"
@@ -377,39 +375,8 @@ func (o *OutOfCoreAdam) StageDeferred(d *DeferredUpdate, g nn.ParamGroup) error 
 	if d.pending {
 		return fmt.Errorf("opt: StageDeferred(%s): previous deferred update still in flight", g.Name)
 	}
-	inv := 1.0
-	if o.gradScale > 0 {
-		inv = 1 / o.gradScale
-	}
-	grad := d.grads
-	idx := 0
-	for _, p := range g.Params {
-		if inv == 1 {
-			if err := tensor.RoundFP16Into(grad[idx:idx+len(p.G.Data)], p.G.Data); err != nil {
-				return fmt.Errorf("opt: stage deferred grad %s: %w", g.Name, err)
-			}
-			idx += len(p.G.Data)
-			continue
-		}
-		for _, gv := range p.G.Data {
-			grad[idx] = float32(float64(tensor.RoundFP16(gv)) * inv)
-			idx++
-		}
-	}
-	// Gradients crossed the compute→host boundary in fp16 (G16), same as
-	// the synchronous handler — only the apply is deferred.
-	o.flows.Add(obs.EdgeComputeHost, obs.FlowGrads, int64(2*d.n))
-	if o.clipNorm > 0 {
-		var sq float64
-		for _, gv := range grad {
-			sq += float64(gv) * float64(gv)
-		}
-		if norm := math.Sqrt(sq); norm > o.clipNorm {
-			scale := float32(o.clipNorm / norm)
-			for i := range grad {
-				grad[i] *= scale
-			}
-		}
+	if err := o.stageGrad(d.grads, g); err != nil {
+		return err
 	}
 	d.step = o.step
 	d.cfg = o.cfg
@@ -427,10 +394,7 @@ type AsyncApplier struct {
 	jobs     chan *DeferredUpdate
 	wg       sync.WaitGroup
 	stopOnce sync.Once
-	scr      struct {
-		p32, m, v []float32
-		enc       []byte
-	}
+	scr      stateScratch
 }
 
 // NewAsyncApplier starts the applier goroutine; maxQueue sizes the job
@@ -478,50 +442,16 @@ func (a *AsyncApplier) run() {
 // step/hyperparameters, stream back, and round the new fp16 working
 // weights into the staging buffer for the step goroutine to install.
 func (a *AsyncApplier) apply(d *DeferredUpdate) error {
-	o := a.o
-	n := d.n
-	p32 := scrF32(&a.scr.p32, n)
-	m := scrF32(&a.scr.m, n)
-	v := scrF32(&a.scr.v, n)
-	if cap(a.scr.enc) < 4*n {
-		a.scr.enc = make([]byte, 4*n)
-	}
-	buf := a.scr.enc[:4*n]
-	if err := o.loadFP32Into(p32, buf, d.keys.p32, d.name, "p32"); err != nil {
+	p32, err := a.o.roundTrip(&a.scr, d.name, d.keys, d.label, nil, d.grads, d.step, d.cfg)
+	if err != nil {
 		return err
 	}
-	if err := o.loadFP32Into(m, buf, d.keys.m, d.name, "m"); err != nil {
-		return err
-	}
-	if err := o.loadFP32Into(v, buf, d.keys.v, d.name, "v"); err != nil {
-		return err
-	}
-	o.flows.Add(obs.EdgeCodecDecode, obs.FlowOptState, int64(3*4*n))
-	sp := o.tracer.StartSpan(obs.LaneAdam, d.label)
-	kernelStart := time.Now()
-	if err := AdamStep(d.cfg, d.step, p32, m, v, d.grads); err != nil {
-		sp.End()
-		return fmt.Errorf("opt: async update %s: %w", d.name, err)
-	}
-	o.kernelNanos.Add(time.Since(kernelStart).Nanoseconds())
-	o.kernelParams.Add(int64(n))
-	sp.End()
-	if err := o.saveFP32(buf, d.keys.p32, p32); err != nil {
-		return err
-	}
-	if err := o.saveFP32(buf, d.keys.m, m); err != nil {
-		return err
-	}
-	if err := o.saveFP32(buf, d.keys.v, v); err != nil {
-		return err
-	}
-	o.flows.Add(obs.EdgeCodecEncode, obs.FlowOptState, int64(3*4*n))
 	if err := tensor.RoundFP16Into(d.p16, p32); err != nil {
 		return fmt.Errorf("opt: async install %s: %w", d.name, err)
 	}
 	// The fp16 install crosses back to the compute tier when the step
 	// goroutine copies it in at the staleness barrier; credit it where the
 	// bytes are produced.
-	o.flows.Add(obs.EdgeComputeHost, obs.FlowParams, int64(2*n))
+	a.o.flows.Add(obs.EdgeComputeHost, obs.FlowParams, int64(2*d.n))
 	return nil
 }

@@ -48,8 +48,8 @@ type segCursor struct {
 
 // job is one parallel-for invocation. Chunks [0,chunks) are divided into
 // segs contiguous segments of segLen chunks (the last may be short); each
-// segment has its own claim cursor. The participant that completes the
-// last chunk closes fin.
+// segment has its own claim cursor. The participant whose completion credit
+// brings done to chunks closes fin.
 type job struct {
 	done    atomic.Int64
 	chunks  int64
@@ -67,9 +67,12 @@ type job struct {
 // the remaining segments in order. Claims are credited to the worker or
 // submitter counter, and cross-segment claims to the stolen counter, with
 // one atomic add per participant rather than per chunk to keep claiming
-// cheap.
-func (j *job) work(worker bool, id int) {
-	var claimed, stolen int64
+// cheap. Completion is credited to done last, also once per participant,
+// so by the time fin closes every participant's stats are folded in.
+// claimed counts chunks the participant already claimed and ran before
+// calling work (the submitter's reserved first chunk).
+func (j *job) work(worker bool, id int, claimed int64) {
+	var stolen int64
 	pref := 0
 	if worker {
 		// Spawn-order ids map workers onto segments 1..segs-1 first,
@@ -97,20 +100,21 @@ func (j *job) work(worker bool, id int) {
 				stolen++
 			}
 			j.run(int(c))
-			if j.done.Add(1) == j.chunks {
-				close(j.fin)
-			}
 		}
 	}
-	if claimed > 0 {
-		if worker {
-			j.pool.stats.workerChunks.Add(claimed)
-		} else {
-			j.pool.stats.submitterChunks.Add(claimed)
-		}
+	if claimed == 0 {
+		return
+	}
+	if worker {
+		j.pool.stats.workerChunks.Add(claimed)
+	} else {
+		j.pool.stats.submitterChunks.Add(claimed)
 	}
 	if stolen > 0 {
 		j.pool.stats.stolenChunks.Add(stolen)
+	}
+	if j.done.Add(claimed) == j.chunks {
+		close(j.fin)
 	}
 }
 
@@ -231,7 +235,7 @@ func (p *Pool) SetLimit(n int) {
 		// in the same region of every job — segment affinity across jobs.
 		go func(id int) {
 			for j := range p.jobs {
-				j.work(true, id)
+				j.work(true, id, 0)
 			}
 		}(p.spawned)
 		p.spawned++
@@ -297,6 +301,10 @@ func (p *Pool) Run(chunks int, run func(chunk int)) {
 		fin:    make(chan struct{}),
 		pool:   p,
 	}
+	// The submitter claims its own segment's first chunk before any worker
+	// can see the job, so it always takes part in it — even when the workers
+	// would otherwise drain every chunk before the submitter gets to run.
+	j.cursors[0].c.Store(1)
 	offers := lim - 1
 	if offers > chunks-1 {
 		offers = chunks - 1
@@ -310,7 +318,8 @@ func (p *Pool) Run(chunks int, run func(chunk int)) {
 			i = offers
 		}
 	}
-	j.work(false, 0)
+	run(0)
+	j.work(false, 0, 1)
 	<-j.fin
 	if lat != nil {
 		lat.RecordDuration(time.Since(latStart))
