@@ -22,8 +22,8 @@ var Analyzer = &analysis.Analyzer{
 
 Flags, everywhere except the units package itself:
 
-  - float64(bytes) / float64(bandwidth): use units.TransferTime (or
-    units.TransferDuration for a time.Duration)
+  - float64(bytes) / float64(bandwidth): use units.TransferTime (its
+    Duration method for a time.Duration)
   - float64(flops) / float64(throughput): use units.ComputeTime
   - a raw integer divided by a units bandwidth/throughput value: wrap the
     count in its units type and use the helper
@@ -41,7 +41,7 @@ Flags, everywhere except the units package itself:
 var ratioHelpers = []struct {
 	num, den, helper string
 }{
-	{"Bytes", "BytesPerSecond", "units.TransferTime (or units.TransferDuration)"},
+	{"Bytes", "BytesPerSecond", "units.TransferTime"},
 	{"FLOPs", "FLOPsPerSecond", "units.ComputeTime"},
 }
 

@@ -33,8 +33,9 @@ type Options struct {
 	Model nn.Config
 	// Adam overrides the optimizer hyperparameters (DefaultAdam if zero).
 	Adam opt.AdamConfig
-	// GradMode selects the active-gradient-offloading schedule; the default
-	// is the optimized pipeline of Fig. 3b.
+	// GradMode selects the active-gradient-offloading schedule. The zero
+	// value is agoffload.Serialized (the optimizer as a separate stage after
+	// backward); set agoffload.Optimized for the pipeline of Fig. 3b.
 	GradMode agoffload.Mode
 	// OptSchedule selects the optimizer scheduling mode: sync (default),
 	// readiness (state reads issued at gradient arrival, bit-identical),

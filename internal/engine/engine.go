@@ -232,30 +232,9 @@ type Engine struct {
 	// steps are serial, so it needs no locking.
 	ho handoff
 
-	// Optimizer scheduling (see opt/schedule_async.go). pref is the
-	// readiness-ordered state prefetcher (ScheduleReadiness, nil otherwise);
-	// applier and the per-group deferred slots implement the
-	// importance-partitioned async mode (ScheduleAsync, nil otherwise). The
-	// partition fields are owned by the step goroutine: asyncImportant names
-	// the groups updating in-step under the current partition, asyncNorms
-	// collects this step's gradient norms, and asyncRouted reports whether a
-	// partition has been committed yet (before that, everything is sync).
-	pref           *opt.StatePrefetcher
-	applier        *opt.AsyncApplier
-	deferreds      []*opt.DeferredUpdate
-	deferredByName map[string]*opt.DeferredUpdate
-	asyncImportant map[string]bool
-	asyncNorms     map[string]float64
-	asyncRouted    bool
-	asyncK         int
-	maxStaleness   int
-	importEvery    int
-	// Per-step optimizer-scheduling telemetry, owned by the step goroutine
-	// and folded into StepMetrics at noteStep.
-	deferredGroupsN int
-	deferredBytesN  int64
-	stalenessPeakN  int
-	prefLaunchedN   int
+	// optSched decides when each group's update runs (Config.OptSchedule):
+	// inline, after a readiness-ordered state read, or on the async applier.
+	optSched *opt.Scheduler
 	// Per-step read-ahead telemetry: backward waits on fetches that missed
 	// their deadline. Owned by the step goroutine; the adaptive depth
 	// controller's raise signal.
@@ -414,26 +393,6 @@ func New(cfg Config) (*Engine, error) {
 			return nil, errors.Join(err, a.Close())
 		}
 	}
-	switch cfg.OptSchedule {
-	case opt.ScheduleSync, opt.ScheduleReadiness, opt.ScheduleAsync:
-	default:
-		err := fmt.Errorf("engine: unknown optimizer schedule %v", cfg.OptSchedule)
-		return nil, errors.Join(err, a.Close())
-	}
-	if cfg.OptSchedule == opt.ScheduleAsync {
-		e.asyncK = cfg.AsyncTopK
-		if e.asyncK <= 0 {
-			e.asyncK = (len(e.groups) + 1) / 2
-		}
-		e.maxStaleness = cfg.MaxStaleness
-		if e.maxStaleness <= 0 {
-			e.maxStaleness = 1
-		}
-		e.importEvery = cfg.ImportanceEvery
-		if e.importEvery <= 0 {
-			e.importEvery = 1
-		}
-	}
 	if cfg.DynamicLossScale {
 		if cfg.GradMode != agoffload.Serialized {
 			err := fmt.Errorf("engine: dynamic loss scaling requires the serialized gradient mode (updates must wait for overflow validation)")
@@ -454,38 +413,14 @@ func New(cfg Config) (*Engine, error) {
 			return nil, errors.Join(err, a.Close())
 		}
 	}
-	// Background goroutines (writers, state prefetcher, async applier)
-	// start last so no construction-error path has to stop them: every
-	// earlier failure closes just the array.
-	switch cfg.OptSchedule {
-	case opt.ScheduleReadiness:
-		// The prefetch window reuses the activation pipeline depth (min 1 —
-		// even the synchronous-activation configuration gets one read of
-		// overlap).
-		pdepth := e.depth
-		if pdepth < 1 {
-			pdepth = 1
-		}
-		e.pref = opt.NewStatePrefetcher(e.optimizer, pdepth, len(e.groups))
-		for _, g := range e.groups {
-			e.pref.Register(g)
-		}
-	case opt.ScheduleAsync:
-		// Every group gets a preallocated deferred slot: the importance
-		// partition shifts over training, so sizing for the current tail
-		// would re-allocate (and blow the steady-state alloc budget) on
-		// every partition change.
-		e.applier = opt.NewAsyncApplier(e.optimizer, len(e.groups))
-		e.deferreds = make([]*opt.DeferredUpdate, 0, len(e.groups))
-		e.deferredByName = make(map[string]*opt.DeferredUpdate, len(e.groups))
-		e.asyncImportant = make(map[string]bool, len(e.groups))
-		e.asyncNorms = make(map[string]float64, len(e.groups))
-		for _, g := range e.groups {
-			d := e.optimizer.NewDeferred(g)
-			e.deferreds = append(e.deferreds, d)
-			e.deferredByName[g.Name] = d
-			e.asyncNorms[g.Name] = 0
-		}
+	// Background goroutines (the scheduler's prefetcher or applier, the
+	// writers) start last so no construction-error path has to stop them:
+	// every earlier failure closes just the array. The readiness prefetch
+	// window reuses the activation pipeline depth (min 1 — even the
+	// synchronous-activation configuration gets one read of overlap).
+	e.optSched, err = opt.NewScheduler(e.optimizer, e.groups, cfg.OptSchedule, e.depth, cfg.AsyncTopK, cfg.MaxStaleness, cfg.ImportanceEvery)
+	if err != nil {
+		return nil, errors.Join(fmt.Errorf("engine: %w", err), a.Close())
 	}
 	// One writer serializes a depth-1 window exactly like the old inline
 	// path, and window 0 (DisablePipeline) joins each write before the next
@@ -512,14 +447,12 @@ func (e *Engine) currentScale() float64 {
 // LossScale reports the active loss scale (for tests and telemetry).
 func (e *Engine) LossScale() float64 { return e.currentScale() }
 
-// Close stops the offload pipeline's writer goroutines, the optimizer
-// scheduling goroutines (state prefetcher / async applier), and releases
-// the NVMe array. Call FlushAsync first when the pending deferred updates'
-// results matter.
+// Close stops the offload pipeline's writer goroutines and the optimizer
+// scheduler's goroutine, and releases the NVMe array. Call FlushAsync first
+// when the pending deferred updates' results matter.
 func (e *Engine) Close() error {
 	e.pipe.close()
-	e.pref.Close()
-	e.applier.Close()
+	e.optSched.Close()
 	return e.array.Close()
 }
 
@@ -589,7 +522,7 @@ func (e *Engine) startHandoff(n int) *handoff {
 func (h *handoff) work() {
 	defer h.worker.Done()
 	for g := range h.jobs {
-		if err := h.e.updateGroup(g); err != nil && h.workErr == nil {
+		if err := h.e.optSched.Update(g); err != nil && h.workErr == nil {
 			h.workErr = err
 		}
 	}
@@ -606,18 +539,15 @@ func (h *handoff) submit(g nn.ParamGroup) error {
 			p.G.Scale(h.scale)
 		}
 	}
-	if e.applier != nil {
-		if handled, err := e.maybeDefer(g); handled || err != nil {
-			return err
-		}
+	if deferred, err := e.optSched.Arrive(g); deferred || err != nil {
+		return err
 	}
-	e.launchPrefetch(g)
 	switch e.cfg.GradMode {
 	case agoffload.Optimized:
 		h.jobs <- g
 		return nil
 	case agoffload.Naive:
-		return e.updateGroup(g)
+		return e.optSched.Update(g)
 	default:
 		h.deferred = append(h.deferred, g)
 		return nil
@@ -641,14 +571,14 @@ func (h *handoff) join() error {
 // finish completes a step whose gradients all arrived: it joins the
 // in-flight updates, then applies the Serialized list — or, under dynamic
 // loss scaling, skips the whole update when a gradient overflowed — and
-// reclaims any readiness prefetch left unconsumed.
+// closes the scheduler's step.
 func (h *handoff) finish() error {
 	err := h.join()
 	if err == nil {
 		err = h.applyDeferred()
 	}
-	if derr := h.e.pref.DrainLive(); derr != nil && err == nil {
-		err = derr
+	if serr := h.e.optSched.EndStep(err == nil); serr != nil && err == nil {
+		err = serr
 	}
 	return err
 }
@@ -669,7 +599,7 @@ func (h *handoff) applyDeferred() error {
 		return nil
 	}
 	for _, g := range h.deferred {
-		if err := e.updateGroup(g); err != nil {
+		if err := e.optSched.Update(g); err != nil {
 			return err
 		}
 	}
@@ -689,8 +619,8 @@ func (h *handoff) abort(err error) error {
 	e := h.e
 	h.deferred = h.deferred[:0]
 	ferr := h.join()
-	if derr := e.pref.DrainLive(); derr != nil && ferr == nil {
-		ferr = derr
+	if serr := e.optSched.EndStep(false); serr != nil && ferr == nil {
+		ferr = serr
 	}
 	if e.scaler != nil && !e.cfg.DelayedUpdate {
 		if cerr := e.optimizer.CancelStep(); cerr != nil && ferr == nil {
@@ -765,7 +695,7 @@ func checkAveraging(cfg Config, what string) error {
 func (e *Engine) step(micro []Batch) (float64, error) {
 	e.model.ZeroGrads()
 	e.pipe.resetStepCounters()
-	e.resetOptSchedCounters()
+	e.fetchStallsN, e.fetchStallWaitN = 0, 0
 	if !e.cfg.DelayedUpdate {
 		if err := e.beginStep(); err != nil {
 			return 0, err
@@ -803,7 +733,6 @@ func (e *Engine) step(micro []Batch) (float64, error) {
 			return 0, err
 		}
 	}
-	e.refreshPartition()
 	drain := time.Since(drainStart)
 	e.mu.Lock()
 	e.stats.Steps++
@@ -817,9 +746,8 @@ func (e *Engine) step(micro []Batch) (float64, error) {
 func noSubmit(nn.ParamGroup) error { return nil }
 
 // beginStep advances the optimizer, applies the learning-rate schedule and
-// the current gradient unscale factor. Under async scheduling it also runs
-// the staleness barrier: deferred updates older than MaxStaleness are joined
-// before the new step's gradients can overwrite their groups.
+// the current gradient unscale factor, and opens the scheduler's step (the
+// async staleness barrier).
 func (e *Engine) beginStep() error {
 	e.optimizer.BeginStep()
 	if e.cfg.LRSchedule != nil {
@@ -830,160 +758,13 @@ func (e *Engine) beginStep() error {
 		// error to keep the hot path clean.
 		_ = e.optimizer.SetGradScale(s)
 	}
-	if e.applier != nil {
-		return e.stalenessBarrier()
-	}
-	return nil
-}
-
-// updateGroup routes one group's synchronous update through the readiness
-// prefetcher when that schedule is enabled; otherwise it hits the optimizer
-// directly, exactly as before.
-func (e *Engine) updateGroup(g nn.ParamGroup) error {
-	if e.pref != nil {
-		return e.pref.UpdateGroup(g)
-	}
-	return e.optimizer.UpdateGroup(g)
-}
-
-// launchPrefetch issues the group's readiness-ordered state read the moment
-// its gradient lands in backward. No-op outside readiness scheduling.
-func (e *Engine) launchPrefetch(g nn.ParamGroup) {
-	if e.pref == nil {
-		return
-	}
-	e.pref.Launch(g.Name)
-	e.prefLaunchedN++
-}
-
-// resetOptSchedCounters clears the per-step scheduling telemetry.
-func (e *Engine) resetOptSchedCounters() {
-	e.deferredGroupsN = 0
-	e.deferredBytesN = 0
-	e.stalenessPeakN = 0
-	e.prefLaunchedN = 0
-	e.fetchStallsN = 0
-	e.fetchStallWaitN = 0
-}
-
-// maybeDefer routes a group under async scheduling: important groups (and
-// every group until the first partition is computed) fall through to the
-// synchronous path, unimportant groups are staged and handed to the
-// background applier. Returns handled=true when the group was deferred.
-// Either way the group's previous deferred apply is joined first, so a slot
-// is never reused (or raced by a sync update) while in flight.
-func (e *Engine) maybeDefer(g nn.ParamGroup) (bool, error) {
-	if e.importanceDue() {
-		e.asyncNorms[g.Name] = gradNorm(g)
-	}
-	d := e.deferredByName[g.Name]
-	if err := d.Wait(); err != nil {
-		return true, err
-	}
-	if !e.asyncRouted || e.asyncImportant[g.Name] {
-		return false, nil
-	}
-	if err := e.optimizer.StageDeferred(d, g); err != nil {
-		return true, err
-	}
-	e.applier.Submit(d)
-	e.deferredGroupsN++
-	e.deferredBytesN += d.DeferredBytes()
-	return true, nil
-}
-
-// importanceDue reports whether this step recomputes the importance
-// partition (every ImportanceEvery steps; step 1 is always due).
-func (e *Engine) importanceDue() bool {
-	return e.optimizer.Step()%e.importEvery == 0 || !e.asyncRouted
-}
-
-// gradNorm is the L2 norm of a group's gradients, used to rank groups for
-// the importance partition.
-func gradNorm(g nn.ParamGroup) float64 {
-	var sum float64
-	for _, p := range g.Params {
-		if p.G == nil {
-			continue
-		}
-		for _, v := range p.G.Data {
-			sum += float64(v) * float64(v)
-		}
-	}
-	return math.Sqrt(sum)
-}
-
-// refreshPartition recomputes the top-k importance partition from the norms
-// sampled this step. Called at the end of a successful TrainStep so the new
-// partition routes the *next* step's gradients.
-func (e *Engine) refreshPartition() {
-	if e.applier == nil || !e.importanceDue() {
-		return
-	}
-	for name := range e.asyncImportant {
-		delete(e.asyncImportant, name)
-	}
-	for rank := 0; rank < e.asyncK && rank < len(e.groups); rank++ {
-		best := -1
-		var bestNorm float64
-		for i, g := range e.groups {
-			if e.asyncImportant[g.Name] {
-				continue
-			}
-			if n := e.asyncNorms[g.Name]; best < 0 || n > bestNorm {
-				best, bestNorm = i, n
-			}
-		}
-		e.asyncImportant[e.groups[best].Name] = true
-	}
-	e.asyncRouted = true
-}
-
-// stalenessBarrier enforces MaxStaleness at the top of step t: any deferred
-// update staged at step d with t-d > MaxStaleness is force-joined. Younger
-// updates are deliberately NOT installed early even when the applier has
-// finished — installs happen only at this fixed lag (or when the group is
-// re-staged), so the trajectory depends on step arithmetic alone, never on
-// applier timing, and training stays bit-reproducible across thread counts
-// and reruns. The post-barrier peak staleness (≤ MaxStaleness by
-// construction) is recorded for telemetry.
-func (e *Engine) stalenessBarrier() error {
-	t := e.optimizer.Step()
-	peak := 0
-	for _, d := range e.deferreds {
-		if !d.Pending() {
-			continue
-		}
-		age := t - d.Step()
-		if age > e.maxStaleness {
-			if err := d.Wait(); err != nil {
-				return err
-			}
-			continue
-		}
-		if age > peak {
-			peak = age
-		}
-	}
-	e.stalenessPeakN = peak
-	return nil
+	return e.optSched.BeginStep()
 }
 
 // FlushAsync joins every in-flight deferred optimizer update, installing
 // their results. It is a no-op outside async scheduling; checkpointing and
 // weight export call it so persisted state reflects all staged gradients.
-func (e *Engine) FlushAsync() error {
-	if e.applier == nil {
-		return nil
-	}
-	var joined error
-	for _, d := range e.deferreds {
-		if err := d.Wait(); err != nil {
-			joined = errors.Join(joined, err)
-		}
-	}
-	return joined
-}
+func (e *Engine) FlushAsync() error { return e.optSched.Flush() }
 
 // runBatch executes one forward/backward pass, accumulating gradients and
 // handing each completed group to submit in gradient-arrival order. The

@@ -361,10 +361,11 @@ func (e *Engine) noteStep(fwd, bwd, drain, wall time.Duration, tokens int) {
 		}
 	}
 	e.prevSched = sched
-	m.DeferredGroups = e.deferredGroupsN
-	m.DeferredBytes = e.deferredBytesN
-	m.StalenessPeak = e.stalenessPeakN
-	m.PrefetchedReads = e.prefLaunchedN
+	ss := e.optSched.StepStats()
+	m.DeferredGroups = ss.DeferredGroups
+	m.DeferredBytes = ss.DeferredBytes
+	m.StalenessPeak = ss.StalenessPeak
+	m.PrefetchedReads = ss.PrefetchedReads
 	e.prevKernelParams, e.prevKernelBusy = kp, kb
 
 	// Fold this step's byte flow out of the cumulative ledger; the delta

@@ -74,9 +74,6 @@ type Config struct {
 	// every class exactly once; see ParseClassOrder). Default:
 	// fetch > opt-read > writeback > write-behind.
 	SchedOrder []Class
-	// SchedAging bounds how long a low-priority transfer can be starved by
-	// higher classes before it is served anyway; DefaultSchedAging if zero.
-	SchedAging time.Duration
 }
 
 // ErrCorrupt is returned when a checksummed object fails verification.
@@ -285,17 +282,13 @@ func Open(cfg Config) (*Array, error) {
 			seen[c] = true
 		}
 	}
-	aging := cfg.SchedAging
-	if aging == 0 {
-		aging = DefaultSchedAging
-	}
 	a := &Array{
 		cfg:         cfg,
 		objs:        make(map[string]object),
 		perDevBytes: make([]int64, cfg.Devices),
 		schedOn:     cfg.Sched,
 		classOrder:  order,
-		aging:       aging,
+		aging:       DefaultSchedAging,
 	}
 	for i := 0; i < cfg.Devices; i++ {
 		var b backend

@@ -303,16 +303,6 @@ func (o *OutOfCoreAdam) InitGroup(g nn.ParamGroup) error {
 // iteration before the group updates.
 func (o *OutOfCoreAdam) BeginStep() { o.step++ }
 
-// StateWire is one group's optimizer state in wire form: the raw
-// little-endian fp32 bytes of the masters and both Adam moments, exactly as
-// the store holds them (4*NumParams bytes each). The readiness-ordered
-// prefetcher fills one from the store ahead of the update and the optimizer
-// decodes it through the same codec path a direct load uses, so a prefetched
-// update is bit-identical to a synchronous one.
-type StateWire struct {
-	P32, M, V []byte
-}
-
 // UpdateGroup is the active-gradient-offloading handler body: it consumes
 // the group's gradients (rounded to fp16, as they arrive over PCIe),
 // streams P32+OS32 in from the store, applies Adam, streams the updated
@@ -321,17 +311,9 @@ func (o *OutOfCoreAdam) UpdateGroup(g nn.ParamGroup) error {
 	return o.applyGroup(g, nil)
 }
 
-// UpdateGroupWire is UpdateGroup consuming state the readiness prefetcher
-// already read: wire holds the group's raw store bytes, so the only
-// difference from UpdateGroup is *when* the store read happened — the
-// decoded values, and therefore the update, are bit-identical.
-func (o *OutOfCoreAdam) UpdateGroupWire(g nn.ParamGroup, wire *StateWire) error {
-	return o.applyGroup(g, wire)
-}
-
 // applyGroup runs one group update. wire, when non-nil, supplies the state
 // bytes (prefetched); nil streams them from the store inline.
-func (o *OutOfCoreAdam) applyGroup(g nn.ParamGroup, wire *StateWire) error {
+func (o *OutOfCoreAdam) applyGroup(g nn.ParamGroup, wire *stateWire) error {
 	if o.step < 1 {
 		return fmt.Errorf("opt: UpdateGroup(%s) before BeginStep", g.Name)
 	}
@@ -414,20 +396,20 @@ func (o *OutOfCoreAdam) stageGrad(dst []float32, g nn.ParamGroup) error {
 // back. It returns the new fp32 masters (scr's slice) for the caller to
 // install. The synchronous handler passes the optimizer's live step and
 // hyperparameters; the async applier passes the ones captured at stage time.
-func (o *OutOfCoreAdam) roundTrip(scr *stateScratch, name string, ks groupKeys, label string, wire *StateWire, grad []float32, t int, cfg AdamConfig) ([]float32, error) {
+func (o *OutOfCoreAdam) roundTrip(scr *stateScratch, name string, ks groupKeys, label string, wire *stateWire, grad []float32, t int, cfg AdamConfig) ([]float32, error) {
 	n := len(grad)
 	p32 := scrF32(&scr.p32, n)
 	m := scrF32(&scr.m, n)
 	v := scrF32(&scr.v, n)
 	buf := scr.encBuf(n)
 	if wire != nil {
-		if err := decodeWire(wire.P32, p32, name, "p32"); err != nil {
+		if err := decodeWire(wire.p32, p32, name, "p32"); err != nil {
 			return nil, err
 		}
-		if err := decodeWire(wire.M, m, name, "m"); err != nil {
+		if err := decodeWire(wire.m, m, name, "m"); err != nil {
 			return nil, err
 		}
-		if err := decodeWire(wire.V, v, name, "v"); err != nil {
+		if err := decodeWire(wire.v, v, name, "v"); err != nil {
 			return nil, err
 		}
 	} else {

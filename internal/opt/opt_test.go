@@ -509,42 +509,50 @@ func TestGradScaleUnscalesInOptimizer(t *testing.T) {
 	}
 }
 
-// trainSteps runs optimizer steps from..to over groups, through the
-// synchronous UpdateGroup path when p is nil and through the readiness
-// prefetcher otherwise (every fetch launched in gradient-arrival order,
-// consumed after).
-func trainSteps(t *testing.T, m *nn.Model, o *OutOfCoreAdam, p *StatePrefetcher, from, to int) {
+// trainSteps runs optimizer steps from..to over m's groups through s, with
+// fresh seeded gradients each step.
+func trainSteps(t *testing.T, m *nn.Model, o *OutOfCoreAdam, s *Scheduler, from, to int) {
 	t.Helper()
-	groups := m.ParamGroups()
 	for step := from; step <= to; step++ {
 		setGrads(m, int64(step))
-		o.BeginStep()
-		if p == nil {
-			for _, g := range groups {
-				if err := o.UpdateGroup(g); err != nil {
-					t.Fatal(err)
-				}
-			}
-			continue
-		}
-		for _, g := range groups {
-			p.Launch(g.Name)
-		}
-		for _, g := range groups {
-			if err := p.UpdateGroup(g); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := p.DrainLive(); err != nil {
-			t.Fatal(err)
-		}
+		schedStep(t, o, s, m.ParamGroups())
 	}
 }
 
-// newStoreOptimizer seeds an optimizer over store with m's groups and, when
-// prefetch is set, starts a depth-2 state prefetcher for them (closed by
-// the test's cleanup).
-func newStoreOptimizer(t *testing.T, m *nn.Model, store Store, prefetch bool) (*OutOfCoreAdam, *StatePrefetcher) {
+// schedStep drives one optimizer step through s the way the engine's
+// serialized handoff does: every group arrives in gradient-arrival order
+// (launching its readiness read, or staging its async update), the groups
+// kept in-step update after the last arrival, and the step closes.
+func schedStep(t *testing.T, o *OutOfCoreAdam, s *Scheduler, groups []nn.ParamGroup) {
+	t.Helper()
+	o.BeginStep()
+	if err := s.BeginStep(); err != nil {
+		t.Fatal(err)
+	}
+	var inStep []nn.ParamGroup
+	for _, g := range groups {
+		deferred, err := s.Arrive(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !deferred {
+			inStep = append(inStep, g)
+		}
+	}
+	for _, g := range inStep {
+		if err := s.Update(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.EndStep(true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// newStoreOptimizer seeds an optimizer over store with m's groups and
+// builds a depth-2 scheduler for mode over them (closed by the test's
+// cleanup).
+func newStoreOptimizer(t *testing.T, m *nn.Model, store Store, mode ScheduleMode) (*OutOfCoreAdam, *Scheduler) {
 	t.Helper()
 	o := NewOutOfCoreAdam(store, DefaultAdam(), "s")
 	groups := m.ParamGroups()
@@ -553,15 +561,12 @@ func newStoreOptimizer(t *testing.T, m *nn.Model, store Store, prefetch bool) (*
 			t.Fatal(err)
 		}
 	}
-	if !prefetch {
-		return o, nil
+	s, err := NewScheduler(o, groups, mode, 2, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	p := NewStatePrefetcher(o, 2, len(groups))
-	t.Cleanup(p.Close)
-	for _, g := range groups {
-		p.Register(g)
-	}
-	return o, p
+	t.Cleanup(s.Close)
+	return o, s
 }
 
 // openStateArray opens a 3-device array whose transfers queue on the
@@ -583,8 +588,7 @@ func openStateArray(t *testing.T, sched bool) *nvme.Array {
 
 // TestStoreBackendsBitIdentical: over three steps, the in-memory store, an
 // FCFS array and a scheduled array drive bit-identical fp16 weights and
-// fp32 masters, through both the synchronous UpdateGroup path and the
-// readiness prefetcher. The backend and the read schedule change only where
+// fp32 masters, under both the sync and the readiness schedule. The backend and the read schedule change only where
 // and when state bytes move, never what the update computes.
 func TestStoreBackendsBitIdentical(t *testing.T) {
 	backends := []struct {
@@ -597,10 +601,10 @@ func TestStoreBackendsBitIdentical(t *testing.T) {
 	}
 	var refW, refM []float32
 	for _, b := range backends {
-		for _, prefetch := range []bool{false, true} {
+		for _, mode := range []ScheduleMode{ScheduleSync, ScheduleReadiness} {
 			m := buildModel(t)
-			o, p := newStoreOptimizer(t, m, b.store(), prefetch)
-			trainSteps(t, m, o, p, 1, 3)
+			o, s := newStoreOptimizer(t, m, b.store(), mode)
+			trainSteps(t, m, o, s, 1, 3)
 			var weights, masters []float32
 			for _, g := range m.ParamGroups() {
 				for _, prm := range g.Params {
@@ -618,10 +622,10 @@ func TestStoreBackendsBitIdentical(t *testing.T) {
 			}
 			for i := range refW {
 				if math.Float32bits(weights[i]) != math.Float32bits(refW[i]) {
-					t.Fatalf("%s prefetch=%v: weight %d = %v, mem sync %v", b.name, prefetch, i, weights[i], refW[i])
+					t.Fatalf("%s %v: weight %d = %v, mem sync %v", b.name, mode, i, weights[i], refW[i])
 				}
 				if math.Float32bits(masters[i]) != math.Float32bits(refM[i]) {
-					t.Fatalf("%s prefetch=%v: master %d = %v, mem sync %v", b.name, prefetch, i, masters[i], refM[i])
+					t.Fatalf("%s %v: master %d = %v, mem sync %v", b.name, mode, i, masters[i], refM[i])
 				}
 			}
 		}
@@ -632,12 +636,12 @@ func TestStoreBackendsBitIdentical(t *testing.T) {
 // step — synchronous or prefetched — queues its state reads only as
 // opt-read and its write-backs only as writeback, one write-back per read.
 func TestOptimizerStepTrafficClasses(t *testing.T) {
-	for _, prefetch := range []bool{false, true} {
+	for _, mode := range []ScheduleMode{ScheduleSync, ScheduleReadiness} {
 		a := openStateArray(t, true)
 		m := buildModel(t)
-		o, p := newStoreOptimizer(t, m, a, prefetch)
+		o, s := newStoreOptimizer(t, m, a, mode)
 		before := a.SchedStats()
-		trainSteps(t, m, o, p, 1, 1)
+		trainSteps(t, m, o, s, 1, 1)
 		after := a.SchedStats()
 		var moved [nvme.NumClasses]int64
 		for c := range moved {
@@ -647,14 +651,14 @@ func TestOptimizerStepTrafficClasses(t *testing.T) {
 			class := nvme.Class(c)
 			state := class == nvme.ClassOptRead || class == nvme.ClassWriteback
 			if state && n == 0 {
-				t.Errorf("prefetch=%v: no %s transfers in an optimizer step", prefetch, class)
+				t.Errorf("%v: no %s transfers in an optimizer step", mode, class)
 			}
 			if !state && n != 0 {
-				t.Errorf("prefetch=%v: %d optimizer-state transfers tagged %s", prefetch, n, class)
+				t.Errorf("%v: %d optimizer-state transfers tagged %s", mode, n, class)
 			}
 		}
 		if r, w := moved[nvme.ClassOptRead], moved[nvme.ClassWriteback]; r != w {
-			t.Errorf("prefetch=%v: %d opt-read transfers but %d writebacks", prefetch, r, w)
+			t.Errorf("%v: %d opt-read transfers but %d writebacks", mode, r, w)
 		}
 	}
 }

@@ -401,6 +401,3 @@ func InlineWork(work int64) bool {
 
 // DefaultStats is Default().Stats.
 func DefaultStats() Stats { return Default().Stats() }
-
-// ResetDefaultStats is Default().ResetStats.
-func ResetDefaultStats() { Default().ResetStats() }

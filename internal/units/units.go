@@ -95,17 +95,11 @@ func TransferTime(b Bytes, bw BytesPerSecond) Seconds {
 	return Seconds(float64(b) / float64(bw))
 }
 
-// TransferDuration is TransferTime for callers pacing real I/O with
-// time.Duration (the NVMe throttles).
-func TransferDuration(b Bytes, bw BytesPerSecond) time.Duration {
-	return TransferTime(b, bw).Duration()
-}
-
 // TransferNanos is the exact, fractional nanosecond cost of moving b bytes
 // at bw. The NVMe throttles carry the sub-nanosecond remainder between
-// charges: TransferDuration truncates to a whole nanosecond, which rounds a
-// 1-byte chunk at 6.5 GB/s (0.15 ns) — and, accumulated, any stream of
-// sub-microsecond transfers — down to free. Callers guard bw > 0.
+// charges: TransferTime(b, bw).Duration() truncates to a whole nanosecond,
+// which rounds a 1-byte chunk at 6.5 GB/s (0.15 ns) — and, accumulated, any
+// stream of sub-microsecond transfers — down to free. Callers guard bw > 0.
 func TransferNanos(b Bytes, bw BytesPerSecond) float64 {
 	if b <= 0 || bw <= 0 {
 		return 0
