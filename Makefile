@@ -15,16 +15,20 @@ race:
 test-nosimd:
 	RATEL_NOSIMD=1 go test -count=1 ./internal/tensor/... ./internal/nn ./internal/opt ./internal/engine
 
-# Core-count pass: the bit-identity and equivalence tests, and the worker
-# pool's stats accounting, at GOMAXPROCS 1, 2 and 4 — exactness must not
-# depend on how many cores the kernels and the optimizer worker get. The
-# steady-state allocation pins stay out until parallel dispatch is
-# allocation-free (ROADMAP.md, "make the data path honest about core
-# count"): today they hold at one core only.
-PROCS_TESTS = TestNoStalenessAcrossGradModes|TestReadinessBitIdenticalMatrix|TestSchedBitIdentityMatrix|TestDataParallelMatchesAccumulation|TestEntryPointEquivalence|TestPrefetcherBitIdentity|TestAsyncApplierMatchesSync|TestStatsCountChunks
+# Core-count pass: the bit-identity and equivalence tests, the worker
+# pool's stats accounting, and the steady-state allocation pins at
+# GOMAXPROCS 1, 2 and 4 — exactness and the allocation budgets must not
+# depend on how many cores the kernels and the optimizer worker get. Each
+# count runs in its own process: pool.Default() sizes itself from
+# GOMAXPROCS once, on first use, so `go test -cpu 1,2,4` in one process
+# would run every pass on the one-participant pool of the first.
+PROCS_TESTS = TestNoStalenessAcrossGradModes|TestReadinessBitIdenticalMatrix|TestSchedBitIdentityMatrix|TestDataParallelMatchesAccumulation|TestEntryPointEquivalence|TestPrefetcherBitIdentity|TestAsyncApplierMatchesSync|TestStatsCountChunks|TestCacheRoundTripAllocs|TestTrainStepSteadyStateAllocs|TestOptSchedSteadyStateAllocs|TestCodecIntoPathsAllocFree|TestDispatchAllocFree|TestRecycledJobsStress|TestKernelsBitIdenticalAcrossThreads
 .PHONY: test-procs
 test-procs:
-	go test -count=1 -cpu 1,2,4 -run '^($(PROCS_TESTS))$$' ./internal/engine ./internal/opt ./internal/tensor/pool
+	@for n in 1 2 4; do \
+		echo "test-procs: -cpu $$n"; \
+		go test -count=1 -cpu $$n -run '^($(PROCS_TESTS))$$' ./internal/engine ./internal/opt ./internal/tensor ./internal/tensor/pool || exit 1; \
+	done
 
 # Static analysis over the whole module.
 .PHONY: vet

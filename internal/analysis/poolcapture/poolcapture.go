@@ -1,6 +1,7 @@
 // Package poolcapture guards the worker-pool contract: chunks submitted to
-// pool.Run / pool.For / pool.ForWork may execute concurrently and in any
-// order, so the closure must only write through disjoint per-chunk slots
+// pool.Run / pool.For / pool.ForWork (and the Kernel forms, ForKernel /
+// ForWorkKernel, when given a func literal) may execute concurrently and in
+// any order, so the closure must only write through disjoint per-chunk slots
 // (out[i] = ...). A closure that assigns a captured outer variable directly
 // is a data race and, even when "benign", makes kernel results depend on
 // chunk interleaving — breaking the bit-identical-at-any-thread-count
@@ -19,7 +20,7 @@ const poolPkg = "ratel/internal/tensor/pool"
 
 // submitFuncs are the pool entry points whose final argument is the
 // parallel body (package functions and *Pool methods share names).
-var submitFuncs = map[string]bool{"Run": true, "For": true, "ForWork": true}
+var submitFuncs = map[string]bool{"Run": true, "For": true, "ForWork": true, "ForKernel": true, "ForWorkKernel": true}
 
 // Analyzer is the poolcapture check.
 var Analyzer = &analysis.Analyzer{
@@ -28,7 +29,7 @@ var Analyzer = &analysis.Analyzer{
 
 Flags assignments (including +=, ++, and x = append(x, ...)) whose target
 is a bare variable declared outside the closure passed to pool.Run /
-pool.For / pool.ForWork. Chunks run concurrently: write through disjoint
+pool.For / pool.ForWork / pool.ForKernel / pool.ForWorkKernel. Chunks run concurrently: write through disjoint
 index expressions (out[i] = v) and reduce after the loop, or use atomics.
 Reads of captured variables and writes through index/field expressions are
 allowed.`,

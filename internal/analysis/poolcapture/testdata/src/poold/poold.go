@@ -43,6 +43,14 @@ func methodReceiverToo(p *pool.Pool, xs []float64) float64 {
 	return sum
 }
 
+func kernelLiteral(xs []float32) float32 {
+	var last float32
+	pool.ForWorkKernel(len(xs), 64, 8, pool.Operands{X: xs}, func(ops pool.Operands, lo, hi int) {
+		last = ops.X[hi-1] // want `closure passed to pool.ForWorkKernel writes captured variable "last"`
+	})
+	return last
+}
+
 func shardedWriteIsFine(xs, out []float64) {
 	pool.For(len(xs), 64, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

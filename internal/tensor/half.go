@@ -33,16 +33,16 @@ func RoundFP16(f float32) float32 { return HalfToFloat32(Float32ToHalf(f)) }
 // bit-identical results at any thread count.
 func (t *Tensor) RoundFP16InPlace() {
 	d := t.Data
-	work := 4 * int64(len(d))
-	if pool.InlineWork(work) {
-		roundFP16Chunk(d, 0, len(d))
-		return
-	}
-	parallelFor(len(d), elemGrain, work, func(lo, hi int) { roundFP16Chunk(d, lo, hi) })
+	pool.ForWorkKernel(len(d), elemGrain, 4*int64(len(d)), pool.Operands{X: d}, roundFP16Kernel)
 }
 
-func roundFP16Chunk(d []float32, lo, hi int) {
-	simd.F16Round(d[lo:hi])
+// The codec kernels below are pool.Kernel forms: top-level functions that
+// read their slices from the operands, so a parallel dispatch captures
+// nothing and allocates nothing (DESIGN.md §6).
+
+// roundFP16Kernel rounds ops.X[lo:hi] in place.
+func roundFP16Kernel(ops pool.Operands, lo, hi int) {
+	simd.F16Round(ops.X[lo:hi])
 }
 
 // RoundFP16Into writes dst[i] = RoundFP16(src[i]); the slices must have
@@ -53,18 +53,14 @@ func RoundFP16Into(dst, src []float32) error {
 	if len(dst) != len(src) {
 		return fmt.Errorf("tensor: fp16 round %d values into %d", len(src), len(dst))
 	}
-	work := 4 * int64(len(dst))
-	if pool.InlineWork(work) {
-		roundFP16IntoChunk(dst, src, 0, len(dst))
-		return nil
-	}
-	parallelFor(len(dst), elemGrain, work, func(lo, hi int) { roundFP16IntoChunk(dst, src, lo, hi) })
+	pool.ForWorkKernel(len(dst), elemGrain, 4*int64(len(dst)), pool.Operands{X: dst, Y: src}, roundFP16IntoKernel)
 	return nil
 }
 
-func roundFP16IntoChunk(dst, src []float32, lo, hi int) {
-	copy(dst[lo:hi], src[lo:hi])
-	simd.F16Round(dst[lo:hi])
+// roundFP16IntoKernel writes ops.X[lo:hi] = fp16(ops.Y[lo:hi]).
+func roundFP16IntoKernel(ops pool.Operands, lo, hi int) {
+	copy(ops.X[lo:hi], ops.Y[lo:hi])
+	simd.F16Round(ops.X[lo:hi])
 }
 
 // ToFP16Bytes encodes values as packed little-endian binary16.
@@ -83,17 +79,13 @@ func ToFP16BytesInto(dst []byte, values []float32) error {
 	if len(dst) != 2*len(values) {
 		return fmt.Errorf("tensor: fp16 encode %d values into %d bytes", len(values), len(dst))
 	}
-	work := 4 * int64(len(values))
-	if pool.InlineWork(work) {
-		fp16EncodeChunk(dst, values, 0, len(values))
-		return nil
-	}
-	parallelFor(len(values), elemGrain, work, func(lo, hi int) { fp16EncodeChunk(dst, values, lo, hi) })
+	pool.ForWorkKernel(len(values), elemGrain, 4*int64(len(values)), pool.Operands{X: values, B: dst}, fp16EncodeKernel)
 	return nil
 }
 
-func fp16EncodeChunk(dst []byte, values []float32, lo, hi int) {
-	simd.F16Encode(dst[2*lo:2*hi], values[lo:hi])
+// fp16EncodeKernel encodes ops.X[lo:hi] into ops.B as binary16.
+func fp16EncodeKernel(ops pool.Operands, lo, hi int) {
+	simd.F16Encode(ops.B[2*lo:2*hi], ops.X[lo:hi])
 }
 
 // FromFP16Bytes decodes packed binary16 into dst, which must hold
@@ -103,17 +95,13 @@ func FromFP16Bytes(b []byte, dst []float32) error {
 	if len(b)%2 != 0 || len(dst) != len(b)/2 {
 		return fmt.Errorf("tensor: fp16 decode %d bytes into %d values", len(b), len(dst))
 	}
-	work := 4 * int64(len(dst))
-	if pool.InlineWork(work) {
-		fp16DecodeChunk(b, dst, 0, len(dst))
-		return nil
-	}
-	parallelFor(len(dst), elemGrain, work, func(lo, hi int) { fp16DecodeChunk(b, dst, lo, hi) })
+	pool.ForWorkKernel(len(dst), elemGrain, 4*int64(len(dst)), pool.Operands{X: dst, B: b}, fp16DecodeKernel)
 	return nil
 }
 
-func fp16DecodeChunk(b []byte, dst []float32, lo, hi int) {
-	simd.F16Decode(dst[lo:hi], b[2*lo:2*hi])
+// fp16DecodeKernel decodes binary16 from ops.B into ops.X[lo:hi].
+func fp16DecodeKernel(ops pool.Operands, lo, hi int) {
+	simd.F16Decode(ops.X[lo:hi], ops.B[2*lo:2*hi])
 }
 
 // ToFP32Bytes encodes values as packed little-endian float32 (the P32/OS32
@@ -131,18 +119,14 @@ func ToFP32BytesInto(dst []byte, values []float32) error {
 	if len(dst) != 4*len(values) {
 		return fmt.Errorf("tensor: fp32 encode %d values into %d bytes", len(values), len(dst))
 	}
-	work := 2 * int64(len(values))
-	if pool.InlineWork(work) {
-		fp32EncodeChunk(dst, values, 0, len(values))
-		return nil
-	}
-	parallelFor(len(values), elemGrain, work, func(lo, hi int) { fp32EncodeChunk(dst, values, lo, hi) })
+	pool.ForWorkKernel(len(values), elemGrain, 2*int64(len(values)), pool.Operands{X: values, B: dst}, fp32EncodeKernel)
 	return nil
 }
 
-func fp32EncodeChunk(dst []byte, values []float32, lo, hi int) {
+// fp32EncodeKernel encodes ops.X[lo:hi] into ops.B as little-endian float32.
+func fp32EncodeKernel(ops pool.Operands, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(values[i]))
+		binary.LittleEndian.PutUint32(ops.B[4*i:], math.Float32bits(ops.X[i]))
 	}
 }
 
@@ -151,17 +135,13 @@ func FromFP32Bytes(b []byte, dst []float32) error {
 	if len(b)%4 != 0 || len(dst) != len(b)/4 {
 		return fmt.Errorf("tensor: fp32 decode %d bytes into %d values", len(b), len(dst))
 	}
-	work := 2 * int64(len(dst))
-	if pool.InlineWork(work) {
-		fp32DecodeChunk(b, dst, 0, len(dst))
-		return nil
-	}
-	parallelFor(len(dst), elemGrain, work, func(lo, hi int) { fp32DecodeChunk(b, dst, lo, hi) })
+	pool.ForWorkKernel(len(dst), elemGrain, 2*int64(len(dst)), pool.Operands{X: dst, B: b}, fp32DecodeKernel)
 	return nil
 }
 
-func fp32DecodeChunk(b []byte, dst []float32, lo, hi int) {
+// fp32DecodeKernel decodes little-endian float32 from ops.B into ops.X[lo:hi].
+func fp32DecodeKernel(ops pool.Operands, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+		ops.X[i] = math.Float32frombits(binary.LittleEndian.Uint32(ops.B[4*i:]))
 	}
 }

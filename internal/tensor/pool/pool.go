@@ -14,6 +14,20 @@
 // panels, attention heads, Adam chunks) are far too short-lived to pay a
 // goroutine spawn each; workers park on a channel between jobs.
 //
+// Dispatch itself allocates nothing in the steady state:
+//   - job descriptors are recycled through a freelist the pool owns; each
+//     counts the participants inside it and carries a generation that
+//     every offer to the workers is tagged with, so an offer dequeued
+//     after its job completed is recognised as stale and neither pins nor
+//     disturbs the recycled descriptor;
+//   - each descriptor owns a cap-1 completion channel, made once;
+//   - For keeps its carve (n, chunk size, body) in the descriptor instead
+//     of a wrapper closure;
+//   - ForKernel takes a top-level Kernel plus an Operands value copied
+//     into the descriptor, so a kernel with nothing to capture — the
+//     fp16/fp32 codec family — dispatches with zero allocations at any
+//     participant count.
+//
 // Sizing: the default pool targets runtime.GOMAXPROCS(0) participants (the
 // scheduler's actual parallelism, which respects CPU-quota–aware deploys
 // better than the raw core count), overridable at process start with the
@@ -46,19 +60,75 @@ type segCursor struct {
 	_ [56]byte
 }
 
+// Kernel is a chunk body with no captured state: a top-level function
+// that reads every slice it touches from ops. Passing one to ForKernel
+// allocates nothing, where a capturing func literal passed to For escapes
+// to the heap on every call.
+type Kernel func(ops Operands, lo, hi int)
+
+// Operands are the slices a Kernel works on. The pool copies them into the
+// job descriptor by value and hands each chunk a copy, so neither the
+// caller's operands nor their address ever move to the heap. Which slice
+// plays which role is the kernel's own convention.
+type Operands struct {
+	X, Y []float32
+	B    []byte
+}
+
 // job is one parallel-for invocation. Chunks [0,chunks) are divided into
 // segs contiguous segments of segLen chunks (the last may be short); each
 // segment has its own claim cursor. The participant whose completion credit
-// brings done to chunks closes fin.
+// brings done to chunks sends on fin.
+//
+// Descriptors are recycled (getJob / release). state packs the
+// descriptor's generation (high 32 bits, bumped on every reuse) with a
+// reference count of the participants inside the job (low 32 bits): the
+// submitter until it has received fin, plus each worker that joined. The
+// last release returns the descriptor to the freelist. A submitter offers
+// its job lim-1 times and may finish it alone, so a worker can dequeue an
+// offer long after the job completed; offers carry the generation they
+// were made for, and a worker joins only through acquire, which refuses a
+// generation that has moved on or a count that already reached zero. So a
+// stale offer neither holds the descriptor back from reuse — the freelist
+// does not grow while workers lag — nor touches anything of a later job
+// but the state word. (A stale offer is misread only if its descriptor is
+// recycled 2^32 times between the worker's dequeue and its acquire.)
 type job struct {
+	state   atomic.Uint64
 	done    atomic.Int64
 	chunks  int64
 	segLen  int64
 	segs    int
-	run     func(chunk int)
-	fin     chan struct{}
+	fin     chan struct{} // cap 1, made once per descriptor
 	pool    *Pool
 	cursors [maxSegs]segCursor
+
+	// The chunk body: run(c) for Run; otherwise chunk c covers
+	// [c*span, min((c+1)*span, n)) of kern(ops, lo, hi) or body(lo, hi).
+	run  func(chunk int)
+	body func(lo, hi int)
+	kern Kernel
+	ops  Operands
+	n    int
+	span int
+}
+
+// exec runs chunk c through whichever body the job carries.
+func (j *job) exec(c int) {
+	if j.run != nil {
+		j.run(c)
+		return
+	}
+	lo := c * j.span
+	hi := lo + j.span
+	if hi > j.n {
+		hi = j.n
+	}
+	if j.kern != nil {
+		j.kern(j.ops, lo, hi)
+		return
+	}
+	j.body(lo, hi)
 }
 
 // work claims chunks until the job is exhausted: first from the
@@ -68,7 +138,7 @@ type job struct {
 // submitter counter, and cross-segment claims to the stolen counter, with
 // one atomic add per participant rather than per chunk to keep claiming
 // cheap. Completion is credited to done last, also once per participant,
-// so by the time fin closes every participant's stats are folded in.
+// so by the time fin fires every participant's stats are folded in.
 // claimed counts chunks the participant already claimed and ran before
 // calling work (the submitter's reserved first chunk).
 func (j *job) work(worker bool, id int, claimed int64) {
@@ -99,7 +169,7 @@ func (j *job) work(worker bool, id int, claimed int64) {
 			if s != 0 {
 				stolen++
 			}
-			j.run(int(c))
+			j.exec(int(c))
 		}
 	}
 	if claimed == 0 {
@@ -114,14 +184,51 @@ func (j *job) work(worker bool, id int, claimed int64) {
 		j.pool.stats.stolenChunks.Add(stolen)
 	}
 	if j.done.Add(claimed) == j.chunks {
-		close(j.fin)
+		j.fin <- struct{}{}
 	}
+}
+
+// offer is one invitation to join a job: the descriptor and the
+// generation it was made for.
+type offer struct {
+	j   *job
+	gen uint32
+}
+
+// acquire joins the job for a worker holding an offer of generation gen:
+// it takes a reference unless the descriptor has been released (count 0)
+// or recycled (another generation) since the offer was made.
+func (j *job) acquire(gen uint32) bool {
+	for {
+		s := j.state.Load()
+		if uint32(s>>32) != gen || uint32(s) == 0 {
+			return false
+		}
+		if j.state.CompareAndSwap(s, s+1) {
+			return true
+		}
+	}
+}
+
+// release drops one participant's reference; the last one clears the body
+// fields (so a parked descriptor retains no closure or operand slices) and
+// returns the descriptor to the pool's freelist. The count is at least 1,
+// so the decrement never borrows from the generation.
+func (j *job) release() {
+	if uint32(j.state.Add(^uint64(0))) != 0 {
+		return
+	}
+	j.run, j.body, j.kern, j.ops = nil, nil, nil, Operands{}
+	p := j.pool
+	p.freeMu.Lock()
+	p.free = append(p.free, j)
+	p.freeMu.Unlock()
 }
 
 // Pool is a set of persistent workers executing chunked parallel-for jobs.
 // The zero value is not usable; use New or Default.
 type Pool struct {
-	jobs  chan *job
+	jobs  chan offer
 	limit atomic.Int32 // participants per job (workers + caller)
 
 	// jobLat, when set, receives each parallel job's wall time (dispatch
@@ -132,6 +239,13 @@ type Pool struct {
 
 	mu      sync.Mutex
 	spawned int // worker goroutines started so far
+
+	// free recycles job descriptors. A plain mutex-guarded freelist rather
+	// than sync.Pool, as nvme's xferPool: the working set is bounded by the
+	// jobs in flight, and deterministic reuse keeps the allocation pins
+	// exact (a GC never empties it).
+	freeMu sync.Mutex
+	free   []*job
 
 	// closeOnce makes Close idempotent: the jobs channel is closed at
 	// most once no matter how many owners tear the pool down.
@@ -191,7 +305,7 @@ func (p *Pool) ResetStats() {
 // New creates a pool that runs jobs with up to workers participants
 // (workers-1 background goroutines plus the submitting goroutine).
 func New(workers int) *Pool {
-	p := &Pool{jobs: make(chan *job, 128)}
+	p := &Pool{jobs: make(chan offer, 128)}
 	p.SetLimit(workers)
 	return p
 }
@@ -234,8 +348,11 @@ func (p *Pool) SetLimit(n int) {
 		// ((id+1) mod the job's segment count), so worker k always starts
 		// in the same region of every job — segment affinity across jobs.
 		go func(id int) {
-			for j := range p.jobs {
-				j.work(true, id, 0)
+			for o := range p.jobs {
+				if o.j.acquire(o.gen) {
+					o.j.work(true, id, 0)
+					o.j.release()
+				}
 			}
 		}(p.spawned)
 		p.spawned++
@@ -280,50 +397,9 @@ func (p *Pool) Run(chunks int, run func(chunk int)) {
 		}
 		return
 	}
-	p.stats.jobs.Add(1)
-	lat := p.jobLat.Load()
-	var latStart time.Time
-	if lat != nil {
-		latStart = time.Now()
-	}
-	segs := lim
-	if segs > chunks {
-		segs = chunks
-	}
-	if segs > maxSegs {
-		segs = maxSegs
-	}
-	j := &job{
-		chunks: int64(chunks),
-		segs:   segs,
-		segLen: (int64(chunks) + int64(segs) - 1) / int64(segs),
-		run:    run,
-		fin:    make(chan struct{}),
-		pool:   p,
-	}
-	// The submitter claims its own segment's first chunk before any worker
-	// can see the job, so it always takes part in it — even when the workers
-	// would otherwise drain every chunk before the submitter gets to run.
-	j.cursors[0].c.Store(1)
-	offers := lim - 1
-	if offers > chunks-1 {
-		offers = chunks - 1
-	}
-	for i := 0; i < offers; i++ {
-		select {
-		case p.jobs <- j:
-		default:
-			// Pool saturated with other jobs; the caller still completes
-			// this one alone rather than blocking.
-			i = offers
-		}
-	}
-	run(0)
-	j.work(false, 0, 1)
-	<-j.fin
-	if lat != nil {
-		lat.RecordDuration(time.Since(latStart))
-	}
+	j := p.getJob(chunks, lim)
+	j.run = run
+	p.dispatch(j, lim)
 }
 
 // For splits [0,n) into contiguous chunks of at least grain elements and
@@ -332,28 +408,112 @@ func (p *Pool) Run(chunks int, run func(chunk int)) {
 // every call over the same range is carved identically — re-running a
 // kernel reproduces its chunk boundaries exactly.
 func (p *Pool) For(n, grain int, body func(lo, hi int)) {
+	p.forRange(n, grain, body, nil, Operands{})
+}
+
+// ForKernel is For for a non-capturing kernel: it carves [0,n) exactly as
+// For does and runs kern(ops, lo, hi) for each chunk. ops is copied into
+// the recycled job descriptor, so the call allocates nothing.
+func (p *Pool) ForKernel(n, grain int, ops Operands, kern Kernel) {
+	p.forRange(n, grain, nil, kern, ops)
+}
+
+// forRange is For and ForKernel: exactly one of body and kern is set.
+func (p *Pool) forRange(n, grain int, body func(lo, hi int), kern Kernel, ops Operands) {
 	if n <= 0 {
 		return
 	}
+	lim := p.Limit()
+	span, chunks := carve(n, grain, lim)
+	if lim <= 1 || chunks == 1 {
+		p.stats.inlineRuns.Add(1)
+		for lo := 0; lo < n; lo += span {
+			if kern != nil {
+				kern(ops, lo, min(lo+span, n))
+			} else {
+				body(lo, min(lo+span, n))
+			}
+		}
+		return
+	}
+	j := p.getJob(chunks, lim)
+	j.body, j.kern, j.ops, j.n, j.span = body, kern, ops, n, span
+	p.dispatch(j, lim)
+}
+
+// carve is For's partition of [0,n): ~4 chunks per participant — enough
+// slack for stealing to balance uneven chunk costs without drowning in
+// scheduling overhead — and never fewer than grain elements per chunk.
+func carve(n, grain, lim int) (span, chunks int) {
 	if grain < 1 {
 		grain = 1
 	}
-	lim := p.Limit()
-	// ~4 chunks per participant: enough slack for stealing to balance
-	// uneven chunk costs without drowning in scheduling overhead.
-	chunk := (n + 4*lim - 1) / (4 * lim)
-	if chunk < grain {
-		chunk = grain
+	span = (n + 4*lim - 1) / (4 * lim)
+	if span < grain {
+		span = grain
 	}
-	chunks := (n + chunk - 1) / chunk
-	p.Run(chunks, func(c int) {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	return span, (n + span - 1) / span
+}
+
+// getJob takes a descriptor from the freelist (or makes one) and sets it
+// up for chunks chunks at lim participants, held by the submitter alone.
+func (p *Pool) getJob(chunks, lim int) *job {
+	var j *job
+	p.freeMu.Lock()
+	if k := len(p.free); k > 0 {
+		j = p.free[k-1]
+		p.free[k-1] = nil
+		p.free = p.free[:k-1]
+	}
+	p.freeMu.Unlock()
+	if j == nil {
+		j = &job{fin: make(chan struct{}, 1), pool: p}
+	}
+	segs := min(lim, chunks, maxSegs)
+	j.done.Store(0)
+	j.chunks = int64(chunks)
+	j.segs = segs
+	j.segLen = (int64(chunks) + int64(segs) - 1) / int64(segs)
+	// The submitter claims its own segment's first chunk before any worker
+	// can see the job, so it always takes part in it — even when the workers
+	// would otherwise drain every chunk before the submitter gets to run.
+	j.cursors[0].c.Store(1)
+	for s := 1; s < segs; s++ {
+		j.cursors[s].c.Store(0)
+	}
+	// Publish the set-up under a new generation, held by the submitter.
+	j.state.Store((j.state.Load()>>32+1)<<32 | 1)
+	return j
+}
+
+// dispatch offers j to up to lim-1 workers, runs its reserved first chunk
+// and the rest of its share on the caller, waits for completion and drops
+// the submitter's reference.
+func (p *Pool) dispatch(j *job, lim int) {
+	p.stats.jobs.Add(1)
+	lat := p.jobLat.Load()
+	var latStart time.Time
+	if lat != nil {
+		latStart = time.Now()
+	}
+	o := offer{j: j, gen: uint32(j.state.Load() >> 32)}
+	offers := min(lim-1, int(j.chunks)-1)
+	for i := 0; i < offers; i++ {
+		select {
+		case p.jobs <- o:
+		default:
+			// Pool saturated with other jobs; the caller still completes
+			// this one alone rather than blocking.
+			i = offers
 		}
-		body(lo, hi)
-	})
+	}
+	j.exec(0)
+	j.work(false, 0, 1)
+	<-j.fin
+	if lat != nil {
+		lat.RecordDuration(time.Since(latStart))
+	}
+	j.release()
 }
 
 // Run is Default().Run.
@@ -382,14 +542,31 @@ func ForWork(n, grain int, work int64, body func(lo, hi int)) {
 	p.For(n, grain, body)
 }
 
+// ForWorkKernel is ForWork for a non-capturing kernel: kern(ops, 0, n)
+// inline under the serial cutoff or at Limit() 1, ForKernel otherwise.
+// Allocation-free on both paths.
+func ForWorkKernel(n, grain int, work int64, ops Operands, kern Kernel) {
+	if n <= 0 {
+		return
+	}
+	p := Default()
+	if work < SerialCutoff || p.Limit() <= 1 {
+		p.stats.inlineRuns.Add(1)
+		kern(ops, 0, n)
+		return
+	}
+	p.ForKernel(n, grain, ops, kern)
+}
+
 // InlineWork reports whether a job with the given estimated work (in
 // scalar ops) would run inline on the caller, recording it as an inline run
 // when so. Hot kernels call this BEFORE constructing their parallel-for
 // closure: a func literal passed to ForWork escapes to the heap, so on the
 // serial path — tiny tensors, or Limit() 1 — branching first lets the
 // kernel run a named panel function directly and allocate nothing. The
-// parallel branch then calls ForWork as usual, paying the closure only when
-// the dispatch is real.
+// parallel branch then calls ForWork and pays one allocation, the closure
+// itself (the job descriptor is recycled). A kernel whose operands fit
+// Operands uses ForWorkKernel instead and pays nothing on either path.
 func InlineWork(work int64) bool {
 	p := Default()
 	if work < SerialCutoff || p.Limit() <= 1 {

@@ -252,7 +252,7 @@ func TestSubmitterDrainsAllSegments(t *testing.T) {
 	dead.done.Store(1)
 	for i := 0; i < cap(p.jobs); i++ {
 		select {
-		case p.jobs <- dead:
+		case p.jobs <- offer{j: dead}:
 		default:
 			t.Fatal("could not saturate job channel")
 		}
@@ -334,4 +334,154 @@ func TestCloseIdempotent(t *testing.T) {
 			t.Fatalf("chunk %d ran %d times", c, got)
 		}
 	}
+}
+
+// scaleKernel is a non-capturing Kernel for the dispatch tests: it doubles
+// ops.X[lo:hi].
+func scaleKernel(ops Operands, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		ops.X[i] *= 2
+	}
+}
+
+// TestDispatchAllocFree pins parallel dispatch at zero allocations on a
+// warmed pool: the job descriptor and its completion channel are
+// recycled, For carries its carve in the descriptor rather than a wrapper
+// closure, and ForKernel copies its operands into the descriptor. The
+// bodies are built once, outside the measured calls — a capturing func
+// literal built per call still costs its own allocation.
+func TestDispatchAllocFree(t *testing.T) {
+	for _, lim := range []int{2, 4} {
+		p := New(lim)
+		defer p.Close()
+		var n atomic.Int64
+		run := func(int) { n.Add(1) }
+		body := func(lo, hi int) { n.Add(int64(hi - lo)) }
+		ops := Operands{X: make([]float32, 1<<12)}
+		cases := []struct {
+			name string
+			f    func()
+		}{
+			{"Run", func() { p.Run(64, run) }},
+			{"For", func() { p.For(1<<12, 16, body) }},
+			{"ForKernel", func() { p.ForKernel(len(ops.X), 16, ops, scaleKernel) }},
+		}
+		for _, c := range cases {
+			for i := 0; i < 50; i++ { // warm the freelist
+				c.f()
+			}
+			before := p.Stats().Jobs
+			if allocs := testing.AllocsPerRun(100, c.f); allocs != 0 {
+				t.Errorf("Limit %d %s: %v allocs/run, want 0", lim, c.name, allocs)
+			}
+			if p.Stats().Jobs == before {
+				t.Errorf("Limit %d %s: nothing dispatched in parallel", lim, c.name)
+			}
+		}
+	}
+}
+
+// TestForKernelMatchesFor checks ForKernel carves [0,n) exactly as For
+// does, on the parallel and the inline path.
+func TestForKernelMatchesFor(t *testing.T) {
+	for _, lim := range []int{1, 3} {
+		p := New(lim)
+		for _, n := range []int{1, 5, 4096, 100_003} {
+			var mu sync.Mutex
+			want := map[[2]int]bool{}
+			p.For(n, 7, func(lo, hi int) {
+				mu.Lock()
+				want[[2]int{lo, hi}] = true
+				mu.Unlock()
+			})
+			got := make([]float32, n)
+			for i := range got {
+				got[i] = 1
+			}
+			p.ForKernel(n, 7, Operands{X: got}, scaleKernel)
+			for i, v := range got {
+				if v != 2 {
+					t.Fatalf("Limit %d n=%d: element %d scaled to %v, want 2", lim, n, i, v)
+				}
+			}
+			bounds := Operands{Y: make([]float32, 2*len(want))}
+			var k atomic.Int64
+			p.ForKernel(n, 7, bounds, func(ops Operands, lo, hi int) {
+				i := k.Add(1) - 1
+				ops.Y[2*i], ops.Y[2*i+1] = float32(lo), float32(hi)
+			})
+			if int(k.Load()) != len(want) {
+				t.Fatalf("Limit %d n=%d: ForKernel ran %d chunks, For %d", lim, n, k.Load(), len(want))
+			}
+			for i := 0; i < len(want); i++ {
+				c := [2]int{int(bounds.Y[2*i]), int(bounds.Y[2*i+1])}
+				if !want[c] {
+					t.Fatalf("Limit %d n=%d: ForKernel chunk %v not in For's partition", lim, n, c)
+				}
+			}
+		}
+		p.Close()
+	}
+}
+
+// TestRecycledJobsStress runs many tiny back-to-back jobs from concurrent
+// submitters at Limit 4 — the regime where a submitter often finishes its
+// job alone while offers for it are still queued. Every chunk must run
+// exactly once, and no late execution may reach a job that already
+// returned: a stale offer that touched a recycled descriptor would reset
+// or credit another job's cursors and show up as a chunk run twice or not
+// at all. Run it under -race as well.
+func TestRecycledJobsStress(t *testing.T) {
+	p := New(4)
+	defer p.Close()
+	const submitters, jobs = 6, 1500
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			all := make([][]int32, jobs)
+			for i := range all {
+				chunks := 2 + (i+g)%7
+				counts := make([]int32, chunks)
+				all[i] = counts
+				switch i % 3 {
+				case 0:
+					p.Run(chunks, func(c int) { atomic.AddInt32(&counts[c], 1) })
+				case 1:
+					p.For(chunks, 1, func(lo, hi int) {
+						for c := lo; c < hi; c++ {
+							atomic.AddInt32(&counts[c], 1)
+						}
+					})
+				default:
+					x := make([]float32, chunks)
+					for c := range x {
+						x[c] = 1
+					}
+					p.ForKernel(chunks, 1, Operands{X: x}, scaleKernel)
+					for c, v := range x { // each run doubles its element
+						for ; v > 1; v /= 2 {
+							atomic.AddInt32(&counts[c], 1)
+						}
+					}
+				}
+				for c := range counts {
+					if got := atomic.LoadInt32(&counts[c]); got != 1 {
+						t.Errorf("submitter %d job %d: chunk %d ran %d times", g, i, c, got)
+						return
+					}
+				}
+			}
+			for i, counts := range all {
+				for c := range counts {
+					if got := atomic.LoadInt32(&counts[c]); got != 1 {
+						t.Errorf("submitter %d job %d: chunk %d ran %d times after return", g, i, c, got)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

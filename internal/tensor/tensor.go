@@ -539,7 +539,7 @@ func parallelFor(n, grain int, work int64, body func(lo, hi int)) {
 
 // SetParallelism sets the worker-pool participant count the kernels use;
 // n < 1 is clamped to 1 (fully serial). The initial value comes from
-// RATEL_THREADS, else runtime.NumCPU.
+// RATEL_THREADS, else runtime.GOMAXPROCS(0).
 func SetParallelism(n int) { pool.Default().SetLimit(n) }
 
 // Parallelism reports the current kernel parallelism.
